@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-ID_2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +89,27 @@ def _k_sequence(d: int) -> list[int]:
     return [d - 1] + list(range(1, d - 1))
 
 
-@lru_cache(maxsize=None)
 def _rbb_element(d: int, j: int) -> np.ndarray:
-    """Single RBB element, built on demand (memoised per (d, j), read-only)."""
-    out = _rbb_element_impl(d, j)
-    out.flags.writeable = False
+    """Single RBB element, in closed form.
+
+    The order-d basis embeds every order-(d-1) element with the corner sign
+    (-1)^(d-1).  Unrolled, element j < d^2 is the element that first appears
+    at order d0 = isqrt(j) + 1, placed in the top-left d0 x d0 block, with
+    (-1)^(m-1) at every further diagonal position m = d0+1..d (1-based).
+    """
+    if j == d * d:  # identity caps the basis
+        return np.eye(d, dtype=complex)
+    d0 = math.isqrt(j) + 1
+    out = np.diag((-1.0) ** np.arange(d)).astype(complex)
+    out[:d0, :d0] = _new_rbb_element(d0, j)
     return out
 
 
-def _rbb_element_impl(d: int, j: int) -> np.ndarray:
+def _new_rbb_element(d: int, j: int) -> np.ndarray:
+    """Element j of the order-d basis for (d-1)^2 <= j < d^2: one of the
+    2(d-1) + 1 elements that order d adds to the embedded order-(d-1) basis."""
     if d == 2:
-        return (SIGMA_1, SIGMA_2, SIGMA_3, ID_2)[j - 1].copy()
-
-    if j == d * d:  # identity caps the basis
-        return np.eye(d, dtype=complex)
+        return (SIGMA_1, SIGMA_2, SIGMA_3)[j - 1]
 
     if j == d * d - 1:  # new diagonal element
         if d % 2 == 1:
@@ -119,17 +124,9 @@ def _rbb_element_impl(d: int, j: int) -> np.ndarray:
         sigma = np.concatenate([np.ones(half), -np.ones(half), [-1.0, 1.0]])
         return np.diag(sigma).astype(complex)
 
-    base = (d - 1) ** 2
-    if j <= base - 1:
-        # extend the smaller basis with an alternating corner sign
-        out = np.zeros((d, d), dtype=complex)
-        out[: d - 1, : d - 1] = _rbb_element(d - 1, j)
-        out[d - 1, d - 1] = (-1) ** (d - 1)
-        return out
-
     # new off-diagonal elements: embedded sigma_1 (first d-1 positions) or
     # sigma_2 (next d-1), conjugated into place
-    offset = j - base
+    offset = j - (d - 1) ** 2
     if offset < d - 1:
         block_pos, sigma = offset + 1, SIGMA_1
     else:
@@ -194,20 +191,22 @@ def build_srbb(n: int) -> Basis:
 class PropertyReport:
     """Pass/fail per basis property, plus the worst deviation per numeric check.
 
-    Property letters: a cardinality, b trace, c involution, d spans_su
-    (None when the basis order is odd), e diagonal_positions, f identity_last.
-    Hermiticity is tracked alongside as an element invariant.
+    Property letters: a cardinality, b trace, c involution, d independent,
+    e diagonal_positions, f identity_last.  Hermiticity is tracked alongside
+    as an element invariant.
 
-    Odd orders get no span check: their non-identity elements have trace 1,
-    not 0, so they do not lie in su(d), and ``all_pass`` says nothing about
-    the linear independence of an odd-order basis.
+    ``independent``: the complex rank of all d^2 elements is d^2 (for
+    Hermitian matrices, the same as over the reals).  At even orders, with
+    the trace and identity checks, this means i*B_j (j < d^2) span su(d); at
+    odd orders the non-identity elements have trace 1, so it means the d^2
+    elements are a basis of the order-d matrix algebra.
     """
 
     cardinality: bool
     trace: bool
     involution: bool
     hermitian: bool
-    spans_su: bool | None
+    independent: bool
     diagonal_positions: bool
     identity_last: bool
     max_deviation: dict[str, float] = field(default_factory=dict)
@@ -215,11 +214,8 @@ class PropertyReport:
 
     @property
     def all_pass(self) -> bool:
-        checks = [self.cardinality, self.trace, self.involution, self.hermitian,
-                  self.diagonal_positions, self.identity_last]
-        if self.spans_su is not None:
-            checks.append(self.spans_su)
-        return all(checks)
+        return all([self.cardinality, self.trace, self.involution, self.hermitian,
+                    self.independent, self.diagonal_positions, self.identity_last])
 
 
 def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
@@ -250,17 +246,10 @@ def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
     if not herm_ok:
         failures.append("hermitian")
 
-    spans: bool | None = None
-    if d % 2 == 0:
-        # i*B_j for j < d^2 must span the traceless anti-Hermitian algebra:
-        # rank of the vectorised real/imag stack equals d^2 - 1
-        vecs = np.stack([
-            np.concatenate([(1j * el.matrix).real.ravel(), (1j * el.matrix).imag.ravel()])
-            for el in basis.elements[: d * d - 1]
-        ])
-        spans = bool(np.linalg.matrix_rank(vecs) == d * d - 1)
-        if not spans:
-            failures.append("spans_su")
+    stack = np.stack([el.matrix.ravel() for el in basis.elements])
+    independent = bool(np.linalg.matrix_rank(stack) == d * d)
+    if not independent:
+        failures.append("independent")
 
     diag_pos = set(diagonal_positions(d))
     diag_ok = True
@@ -278,7 +267,7 @@ def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
 
     return PropertyReport(
         cardinality=cardinality, trace=trace_ok, involution=invol_ok,
-        hermitian=herm_ok, spans_su=spans, diagonal_positions=diag_ok,
+        hermitian=herm_ok, independent=independent, diagonal_positions=diag_ok,
         identity_last=ident_ok, max_deviation=dev, failures=failures,
     )
 
@@ -322,7 +311,8 @@ class FactorGrouping:
 
 
 def _k_of(x: int, n: int) -> int:
-    """Smallest qubit position whose bit of x is 1 (qubit 0 = MSB of n-1 bits)."""
+    """Wrapping-control qubit of odd factor x: the smallest qubit position
+    whose bit of x is 1, i.e. x's leading bit (qubit 0 = MSB of n-1 bits)."""
     return n - 1 - x.bit_length()
 
 

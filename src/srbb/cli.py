@@ -18,7 +18,7 @@ from .algebra import build_srbb, check_basis_properties
 from .circuit import Circuit, to_json_dict, to_qasm, unitary_of
 from .compiler import gate_counts, count_from_circuit, naive_circuit, synthesize_circuit
 from .targets import named_target, random_su, target_names
-from .varopt import TrainConfig, train
+from .varopt import TrainConfig, _check_unitary, train
 
 
 @dataclass
@@ -151,9 +151,7 @@ def _load_target(ref: str, n: int, seed: int) -> np.ndarray:
         d = 2**n
         if u.shape != (d, d):
             raise ValueError(f"matrix in {path} is {u.shape}, expected {d}x{d}")
-        if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-8:
-            raise ValueError(f"matrix in {path} is not unitary")
-        return u
+        return _check_unitary(u)
     if ref.lower() == "random-su":
         return random_su(n, seed).unitary
     return named_target(ref, n).unitary

@@ -18,8 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
+from .algebra import _k_of
 from .circuit import Circuit, Gate, circuit_from_gates, cnot, rz, ry
 
 
@@ -34,11 +33,6 @@ def _ntz(s: int) -> int:
 def _bits_of(x: int, n: int) -> list[int]:
     """Qubits where x's (n-1)-bit pattern has a 1; qubit j carries 2^(n-2-j)."""
     return [j for j in range(n - 1) if x & (1 << (n - 2 - j))]
-
-
-def _k_of(x: int, n: int) -> int:
-    """Wrapping-control qubit of the odd factor: position of x's leading bit."""
-    return n - 1 - x.bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +71,7 @@ def count_from_circuit(circuit: Circuit) -> GateCounts:
 
 
 # ---------------------------------------------------------------------------
-# Gray plan and the diagonal factor
-
-
-@dataclass(frozen=True)
-class GrayPlan:
-    """Per recursion level m (3..n): the diagonal-element order and the
-    one-hot matrix of the single control bit changing between consecutive
-    odd-terminated Gray rows (cyclically; the closing row changes bit 0)."""
-
-    n: int
-    element_order: dict[int, list[int]]
-    change_bit_rows: dict[int, np.ndarray]
+# the diagonal factor
 
 
 def _level_slots(n: int, m: int):
@@ -102,21 +85,6 @@ def _level_slots(n: int, m: int):
         ctrl = 0 if s == rows else m - 2 - _ntz(s)
         out.append((j, ctrl))
     return out
-
-
-def gray_plan(n: int) -> GrayPlan:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    order: dict[int, list[int]] = {}
-    rows_by_level: dict[int, np.ndarray] = {}
-    for m in range(3, n + 1):
-        slots = _level_slots(n, m)
-        order[m] = [j for j, _ in slots]
-        mat = np.zeros((len(slots), m - 1), dtype=int)
-        for i, (_, ctrl) in enumerate(slots):
-            mat[i, ctrl] = 1
-        rows_by_level[m] = mat
-    return GrayPlan(n=n, element_order=order, change_bit_rows=rows_by_level)
 
 
 def _z_param(n: int, ordinal: int) -> str:

@@ -11,19 +11,14 @@ Metric conventions used throughout:
 
 Training is deterministic for a given seed: all randomness (parameter
 initialization, state datasets, holdout states) flows from one SeedSequence,
-and batch reductions happen in fixed index order.  Setting SRBB_THREADS > 1
-lets batch evaluation fan out across threads; the per-state loss vector is
-assembled in index order before the single reduction, so results do not
-depend on thread scheduling.
+and batch reductions happen in fixed index order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +78,8 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite entries")
     d = u.shape[0]
     if np.linalg.norm(u.conj().T @ u - np.eye(d)) > tol:
         raise ValueError("matrix is not unitary")
@@ -354,24 +351,9 @@ class TrainReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("SRBB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _evolved_overlaps(u_circ: np.ndarray, u_ideal: np.ndarray,
                       states: np.ndarray) -> np.ndarray:
     """|<psi U_circ^dag U_ideal psi>|^2 per state row, in index order."""
-    cap = _thread_cap()
-    if cap > 1 and len(states) >= 2 * cap:
-        chunks = np.array_split(states, cap)
-        with ThreadPoolExecutor(cap) as ex:
-            parts = list(ex.map(
-                lambda s: np.abs(np.einsum("ij,ij->i", (s @ u_circ.T).conj(),
-                                           s @ u_ideal.T)) ** 2, chunks))
-        return np.concatenate(parts)
     a = states @ u_circ.T
     b = states @ u_ideal.T
     return np.abs(np.einsum("ij,ij->i", a.conj(), b)) ** 2

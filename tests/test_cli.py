@@ -304,6 +304,16 @@ def test_synthesize_rejects_non_unitary_file(tmp_path, capsys):
     assert "not unitary" in err
 
 
+def test_synthesize_rejects_non_finite_file(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    rows = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    rows[0][1][0] = float("nan")
+    path.write_text(json.dumps(rows))
+    code, _, err = run_cli(capsys, "synthesize", f"file:{path}", "-n", "2")
+    assert code == 2
+    assert err == "error: matrix has non-finite entries\n"
+
+
 def test_synthesize_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "synthesize",
                            f"file:{tmp_path}/none.json", "-n", "2")

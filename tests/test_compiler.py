@@ -1,4 +1,4 @@
-"""Factor circuits, Gray plans, gate counts, reduced/naive equivalence.
+"""Factor circuits, gate counts, reduced/naive equivalence.
 
 The counting tests deliberately recompute every total from the factor
 structure (per-block sums plus seam survivors) rather than trusting the
@@ -15,7 +15,6 @@ from srbb.compiler import (
     GateCounts,
     count_from_circuit,
     gate_counts,
-    gray_plan,
     m_odd,
     m_zyz,
     naive_circuit,
@@ -117,31 +116,34 @@ def test_gate_counts_rejects_n1():
 
 
 # ---------------------------------------------------------------------------
-# Gray plan
-
-def test_gray_plan_n3():
-    plan = gray_plan(3)
-    assert plan.element_order[3] == [15, 63, 35, 3]
-    mat = plan.change_bit_rows[3]
-    assert mat.shape == (4, 2)
-    assert (mat.sum(axis=1) == 1).all()
-
-
-def test_gray_plan_n4_top_level():
-    plan = gray_plan(4)
-    assert plan.element_order[4] == [15, 63, 35, 195, 255, 143, 99, 3]
-    assert set(plan.element_order) == {3, 4}
-    for mat in plan.change_bit_rows.values():
-        assert (mat.sum(axis=1) == 1).all()
-
-
-def test_gray_plan_rejects_n2():
-    with pytest.raises(ValueError):
-        gray_plan(2)
-
-
-# ---------------------------------------------------------------------------
 # diagonal factor
+
+def test_z_factor_rz_order():
+    def rz_params(n):
+        return [g.param for g in z_factor(n).gates if g.kind == "RZ"]
+
+    assert rz_params(3) == ["z/15", "z/63", "z/35", "z/3", "z/48", "z/8", "z/24"]
+    assert rz_params(4)[:8] == ["z/15", "z/63", "z/35", "z/195",
+                                "z/255", "z/143", "z/99", "z/3"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_z_factor_controls_follow_gray_change_bits(n):
+    # level m drives target qubit m-1 through 2^(m-1) slots; the CNOT before
+    # slot s flips the control bit where Gray codes s-1 and s (cyclically)
+    # differ, read as a qubit of the m-1 control qubits (qubit 0 = MSB)
+    def gray(t):
+        return t ^ (t >> 1)
+
+    gates = z_factor(n).gates
+    for m in range(3, n + 1):
+        rows = 2 ** (m - 1)
+        got = [g.qubits[0] for g in gates
+               if g.kind == "CNOT" and g.qubits[1] == m - 1]
+        want = [m - 2 - ((gray(s - 1) ^ gray(s % rows)).bit_length() - 1)
+                for s in range(1, rows + 1)]
+        assert got == want, m
+
 
 @pytest.mark.parametrize("n, rz_count, cx_count", [(2, 3, 2), (3, 7, 6), (4, 15, 14)])
 def test_z_factor_counts(n, rz_count, cx_count):
