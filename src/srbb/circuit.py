@@ -277,15 +277,16 @@ def sample(circuit: Circuit, params, state: np.ndarray, shots: int,
 
 
 # ---------------------------------------------------------------------------
-# peephole verification pass
+# peephole pass: the CNOT-reduced layer is its fixpoint on the unreduced chain
 
 
-def cancel_adjacent_cnots(circuit: Circuit) -> tuple[Circuit, int]:
+def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
     """Remove pairs of identical CNOTs with no intervening gate on either
-    wire.  Returns (new circuit, number of gates removed)."""
+    wire, cascading until none is left.  Returns (kept gates, number of
+    gates removed)."""
     out: list[Gate] = []
     removed = 0
-    for g in circuit.gates:
+    for g in gates:
         if g.kind == "CNOT":
             wires = set(g.qubits)
             for i in range(len(out) - 1, -1, -1):
@@ -301,6 +302,13 @@ def cancel_adjacent_cnots(circuit: Circuit) -> tuple[Circuit, int]:
                 out.append(g)
         else:
             out.append(g)
+    return out, removed
+
+
+def cancel_adjacent_cnots(circuit: Circuit) -> tuple[Circuit, int]:
+    """`cancel_cnot_pairs` on a circuit.  Returns (new circuit, number of
+    gates removed)."""
+    out, removed = cancel_cnot_pairs(circuit.gates)
     return Circuit(circuit.n, tuple(out), circuit.params), removed
 
 

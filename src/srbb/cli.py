@@ -51,6 +51,9 @@ def cmd_compile(args) -> int:
         print("error: n must be >= 2", file=sys.stderr)
         return 2
     if args.naive:
+        if args.layers != 1:
+            print("error: --naive emits one layer; --layers must be 1", file=sys.stderr)
+            return 2
         if args.n < 3:
             print("error: the naive layout needs n >= 3", file=sys.stderr)
             return 2

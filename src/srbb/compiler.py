@@ -6,12 +6,14 @@ CNOT sequences, Psi does the same for even parity and appends one plain
 multiplexed block, and Z realises all diagonal rotations through a cyclic
 Gray-code CNOT chain per recursion level.
 
-Between consecutive conjugation blocks only the CNOTs that survive pairwise
-cancellation are emitted; each block's closing side mirrors its opening side
-so the reduced permutation skeleton is exactly the peephole fixpoint of the
-naive one.  Free parameters are named `phi/x/slot`, `psi/x/slot`,
-`psi/a/slot`, `z/j` — identical between the reduced and naive circuits so
-both accept the same assignment.
+The unreduced Phi and Psi chains wrap every block in its full transposition
+CNOT sequence, opening and (reversed) closing, and are built in one place.
+The reduced layer is the fixpoint of the peephole pass
+`circuit.cancel_cnot_pairs` on those chains followed by the Gray-code
+diagonal factor; the naive circuit is the same chains followed by an
+unreduced diagonal factor.  Free parameters are named `phi/x/slot`,
+`psi/x/slot`, `psi/a/slot`, `z/j` — identical between the reduced and naive
+circuits so both accept the same assignment.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import _k_of
-from .circuit import Circuit, Gate, circuit_from_gates, cnot, rz, ry
+from .circuit import Circuit, Gate, cancel_cnot_pairs, circuit_from_gates, cnot, rz
 
 
 def _gray(t: int) -> int:
@@ -96,6 +98,10 @@ def z_factor(n: int) -> Circuit:
     if n < 2:
         raise ValueError("n must be >= 2")
     if n == 2:
+        # the generic tail with its last two (commuting) RZs swapped.  This
+        # order fixes the n = 2 layer's parameter order, and with it the
+        # optimiser's start point: folding it into the tail would swap z/8
+        # and z/3 and change every 2-qubit training result.
         gates = [cnot(0, 1), rz(1, "z/15"), cnot(0, 1), rz(0, "z/8"), rz(1, "z/3")]
         return circuit_from_gates(2, gates)
     gates = []
@@ -127,16 +133,13 @@ def _naive_z_gates(n: int) -> list[Gate]:
 # permutation factors
 
 
-def _perm_even_gates(n: int, x: int, mirror: bool = False) -> list[Gate]:
-    targets = _bits_of(x, n)
-    if mirror:
-        targets = targets[::-1]
-    return [cnot(n - 1, j) for j in targets]
+def _perm_even_gates(n: int, x: int) -> list[Gate]:
+    return [cnot(n - 1, j) for j in _bits_of(x, n)]
 
 
-def _perm_odd_gates(n: int, x: int, mirror: bool = False) -> list[Gate]:
+def _perm_odd_gates(n: int, x: int) -> list[Gate]:
     k = _k_of(x, n)
-    return [cnot(k, n - 1)] + _perm_even_gates(n, x, mirror) + [cnot(k, n - 1)]
+    return [cnot(k, n - 1)] + _perm_even_gates(n, x) + [cnot(k, n - 1)]
 
 
 def permutation_factor(n: int, x: int, parity: str) -> Circuit:
@@ -152,22 +155,6 @@ def permutation_factor(n: int, x: int, parity: str) -> Circuit:
     return circuit_from_gates(n, gates)
 
 
-def _even_edge_gates(n: int, x: int) -> list[Gate]:
-    """Surviving CNOTs between the x+1 block's closing side and the x
-    block's opening side: the shared high bits cancel pairwise."""
-    post = _bits_of((x + 1) & ~x, n)
-    pre = _bits_of(x & ~(x + 1), n)
-    return [cnot(n - 1, j) for j in post + pre]
-
-
-def _odd_edge_gates(n: int, x: int) -> list[Gate]:
-    if (x + 1) & x:
-        # shared leading bit => same wrapping control; inner pair cancels too
-        k = _k_of(x, n)
-        return [cnot(k, n - 1)] + _even_edge_gates(n, x) + [cnot(k, n - 1)]
-    return _perm_odd_gates(n, x + 1, mirror=True) + _perm_odd_gates(n, x)
-
-
 # ---------------------------------------------------------------------------
 # multiplexed rotation blocks
 
@@ -179,7 +166,7 @@ def _mux_rows(q: int):
     return [(0 if s == rows else q - 1 - _ntz(s), s == rows) for s in range(1, rows + 1)]
 
 
-def _mzyz_gates(n: int, names, drop_overall_last: bool = False) -> list[Gate]:
+def _mzyz_gates(n: int, names) -> list[Gate]:
     """Three multiplexed rotation blocks (RZ, RY, RZ) on the last qubit.
     The first two blocks merge away their closing CNOT."""
     gates: list[Gate] = []
@@ -187,9 +174,8 @@ def _mzyz_gates(n: int, names, drop_overall_last: bool = False) -> list[Gate]:
     for block, kind in enumerate(("RZ", "RY", "RZ")):
         for ctrl, closing in _mux_rows(t):
             gates.append(Gate(kind, (t,), next(names)))
-            if closing and (block < 2 or drop_overall_last):
-                continue
-            gates.append(cnot(ctrl, t))
+            if not closing or block == 2:
+                gates.append(cnot(ctrl, t))
     return gates
 
 
@@ -232,47 +218,40 @@ def m_odd(n: int, prefix: str = "m") -> Circuit:
 # the three factors and full circuits
 
 
+def _wrapped_chain(n: int, perm, block, prefix: str) -> list[Gate]:
+    """Every block x = 2^(n-1)-1 .. 1 conjugated by its full T_x: opening
+    CNOTs, the block, then the opening reversed."""
+    gates: list[Gate] = []
+    for x in range(2 ** (n - 1) - 1, 0, -1):
+        opening = perm(n, x)
+        gates += opening
+        gates += block(n, _name_counter(f"{prefix}/{x}"))
+        gates += reversed(opening)
+    return gates
+
+
+def _odd_chain(n: int) -> list[Gate]:
+    # 2-qubit operators fall outside the scaling scheme: their Phi block is
+    # the plain ZYZ multiplexor
+    block = _mzyz_gates if n == 2 else _m_odd_gates
+    return _wrapped_chain(n, _perm_odd_gates, block, "phi")
+
+
+def _even_chain(n: int) -> list[Gate]:
+    return (_wrapped_chain(n, _perm_even_gates, _mzyz_gates, "psi")
+            + _mzyz_gates(n, _name_counter("psi/a")))
+
+
 def psi_factor(n: int) -> Circuit:
     if n < 3:
         raise ValueError("n must be >= 3")
-    x_max = 2 ** (n - 1) - 1
-    gates = _perm_even_gates(n, x_max)
-    gates += _mzyz_gates(n, _name_counter(f"psi/{x_max}"))
-    for x in range(x_max - 1, 0, -1):
-        gates += _even_edge_gates(n, x)
-        gates += _mzyz_gates(n, _name_counter(f"psi/{x}"))
-    gates += _perm_even_gates(n, 1, mirror=True)
-    gates += _mzyz_gates(n, _name_counter("psi/a"))
-    return circuit_from_gates(n, gates)
+    return circuit_from_gates(n, cancel_cnot_pairs(_even_chain(n))[0])
 
 
 def phi_factor(n: int) -> Circuit:
     if n < 3:
         raise ValueError("n must be >= 3")
-    x_max = 2 ** (n - 1) - 1
-    gates = _perm_odd_gates(n, x_max)
-    gates += _m_odd_gates(n, _name_counter(f"phi/{x_max}"))
-    for x in range(x_max - 1, 0, -1):
-        gates += _odd_edge_gates(n, x)
-        gates += _m_odd_gates(n, _name_counter(f"phi/{x}"))
-    gates += _perm_odd_gates(n, 1, mirror=True)
-    return circuit_from_gates(n, gates)
-
-
-def _layer_gates(n: int) -> list[Gate]:
-    if n == 2:
-        # fixed 2-qubit layout: the generic scheme's four cancelling CNOT
-        # pairs are already removed (18 CNOTs, 21 rotations)
-        gates = [cnot(0, 1), cnot(1, 0), cnot(0, 1)]
-        gates += _mzyz_gates(2, _name_counter("phi/1"), drop_overall_last=True)
-        gates += [cnot(1, 0), cnot(0, 1)]
-        gates += [cnot(1, 0)]
-        gates += _mzyz_gates(2, _name_counter("psi/1"))
-        gates += [cnot(1, 0)]
-        gates += _mzyz_gates(2, _name_counter("psi/a"), drop_overall_last=True)
-        gates += [rz(1, "z/15"), cnot(0, 1), rz(0, "z/8"), rz(1, "z/3")]
-        return gates
-    return list(phi_factor(n).gates) + list(psi_factor(n).gates) + list(z_factor(n).gates)
+    return circuit_from_gates(n, cancel_cnot_pairs(_odd_chain(n))[0])
 
 
 def synthesize_circuit(n: int, layers: int = 1) -> Circuit:
@@ -282,7 +261,7 @@ def synthesize_circuit(n: int, layers: int = 1) -> Circuit:
         raise ValueError("n must be >= 2")
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    layer = _layer_gates(n)
+    layer, _ = cancel_cnot_pairs(_odd_chain(n) + _even_chain(n) + list(z_factor(n).gates))
     if layers == 1:
         return circuit_from_gates(n, layer)
     gates: list[Gate] = []
@@ -295,21 +274,10 @@ def synthesize_circuit(n: int, layers: int = 1) -> Circuit:
 
 
 def naive_circuit(n: int) -> Circuit:
-    """Unreduced equivalence oracle: every transposition set emitted in full
-    on both sides of its block (closing side mirrored), diagonal factor in
-    ascending index order.  Shares parameter names with the reduced circuit."""
+    """Unreduced equivalence oracle: the Phi and Psi chains with every
+    transposition set in full on both sides of its block, then the diagonal
+    factor in ascending index order.  Shares parameter names with the
+    reduced circuit."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    x_max = 2 ** (n - 1) - 1
-    gates: list[Gate] = []
-    for x in range(x_max, 0, -1):
-        gates += _perm_odd_gates(n, x)
-        gates += _m_odd_gates(n, _name_counter(f"phi/{x}"))
-        gates += _perm_odd_gates(n, x, mirror=True)
-    for x in range(x_max, 0, -1):
-        gates += _perm_even_gates(n, x)
-        gates += _mzyz_gates(n, _name_counter(f"psi/{x}"))
-        gates += _perm_even_gates(n, x, mirror=True)
-    gates += _mzyz_gates(n, _name_counter("psi/a"))
-    gates += _naive_z_gates(n)
-    return circuit_from_gates(n, gates)
+    return circuit_from_gates(n, _odd_chain(n) + _even_chain(n) + _naive_z_gates(n))

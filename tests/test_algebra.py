@@ -88,7 +88,7 @@ def test_rbb_embeds_the_previous_order(d):
         assert np.array_equal(big.matrix(j), want), j
 
 
-def test_building_a_basis_retains_no_memory():
+def test_building_a_basis_retains_no_memory(srbb_env):
     # elements are built in closed form, so a dropped basis leaves nothing
     # behind; a fresh interpreter keeps earlier tests from warming any cache
     code = ("import tracemalloc\n"
@@ -96,7 +96,7 @@ def test_building_a_basis_retains_no_memory():
             "tracemalloc.start()\n"
             "build_srbb(4)\n"
             "print(tracemalloc.get_traced_memory()[0])\n")
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-c", code], env=srbb_env,
                           capture_output=True, text=True, check=True)
     assert int(proc.stdout) < 0.5 * 2**20
 

@@ -63,6 +63,13 @@ def test_compile_naive_counts(capsys):
     assert out == f"n_cnot={tally.n_cnot} n_rot={tally.n_rot}\n"
 
 
+def test_compile_naive_rejects_layers(capsys):
+    code, out, err = run_cli(capsys, "compile", "-n", "3", "--naive", "--layers", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --naive emits one layer; --layers must be 1\n"
+
+
 def test_compile_layers_scale_counts(capsys):
     code, out, _ = run_cli(capsys, "compile", "-n", "2", "--layers", "3")
     assert code == 0
@@ -364,10 +371,10 @@ def test_no_command_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(srbb_env):
     proc = subprocess.run(
         [sys.executable, "-m", "srbb.cli", "compile", "-n", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=srbb_env)
     assert proc.returncode == 0
     assert proc.stdout == "n_cnot=18 n_rot=21\n"
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from srbb.algebra import element_exponential, grouping, srbb_element, transposition_matrix
-from srbb.circuit import cancel_adjacent_cnots, unitary_of
+from srbb.circuit import cancel_adjacent_cnots, circuit_from_gates, unitary_of
 from srbb.compiler import (
     GateCounts,
     count_from_circuit,
@@ -331,7 +331,7 @@ def test_seam_savings_match_bit_rule(n):
     assert removed == {3: 6, 4: 28}[n]
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reduced_circuit_is_a_peephole_fixpoint(n):
     _, removed = cancel_adjacent_cnots(synthesize_circuit(n))
     assert removed == 0
@@ -357,10 +357,26 @@ def test_naive_zero_parameters_identity():
 
 
 def test_n2_layout():
+    # the whole 2-qubit layer; its parameter order fixes the optimiser's
+    # start point and so every n = 2 training result
+    def cx(c, t):
+        return ("CNOT", (c, t), None)
+
+    def zyz(p):
+        return [("RZ", (1,), f"{p}/1"), cx(0, 1), ("RZ", (1,), f"{p}/2"),
+                ("RY", (1,), f"{p}/3"), cx(0, 1), ("RY", (1,), f"{p}/4"),
+                ("RZ", (1,), f"{p}/5"), cx(0, 1), ("RZ", (1,), f"{p}/6")]
+
+    want = ([cx(0, 1), cx(1, 0), cx(0, 1)] + zyz("phi/1")
+            + [cx(1, 0), cx(0, 1), cx(1, 0)] + zyz("psi/1")
+            + [cx(0, 1), cx(1, 0)] + zyz("psi/a")
+            + [("RZ", (1,), "z/15"), cx(0, 1), ("RZ", (0,), "z/8"), ("RZ", (1,), "z/3")])
     circ = synthesize_circuit(2)
-    assert [g.qubits for g in circ.gates[:3]] == [(0, 1), (1, 0), (0, 1)]
-    assert {"z/15", "z/8", "z/3"} <= set(circ.free_parameters)
-    assert len(circ.free_parameters) == 21
+    assert len(want) == 39
+    assert [(g.kind, g.qubits, g.param) for g in circ.gates] == want
+    assert circ.free_parameters == tuple(
+        [f"{p}/{s}" for p in ("phi/1", "psi/1", "psi/a") for s in range(1, 7)]
+        + ["z/15", "z/8", "z/3"])
 
 
 def test_reduced_equals_naive_n3():
@@ -373,14 +389,33 @@ def test_reduced_equals_naive_n3():
         assert np.abs(diff).max() < 1e-10
 
 
+def _wrapped_chain(n, parity, block, prefix):
+    # every block x = 2^(n-1)-1 .. 1 between its full T_x and T_x reversed
+    gates = []
+    for x in range(2 ** (n - 1) - 1, 0, -1):
+        opening = list(permutation_factor(n, x, parity).gates)
+        gates += opening + list(block(n, prefix=f"{prefix}/{x}").gates) + opening[::-1]
+    return gates
+
+
 def test_psi_factor_matches_its_naive_chain():
-    # the even factor alone must agree with its fully-wrapped form; the
-    # naive circuit embeds that chain with identical parameter names
+    # each reduced factor realises its unreduced chain, built here from the
+    # public permutation factors and multiplexed blocks only
     rng = np.random.default_rng(31)
-    reduced = psi_factor(3)
-    naive = naive_circuit(3)
-    psi_names = [p for p in naive.free_parameters if p.startswith("psi/")]
-    assert set(psi_names) == set(reduced.free_parameters)
+    for n in (3, 4):
+        chains = {
+            psi_factor: _wrapped_chain(n, "even", m_zyz, "psi")
+            + list(m_zyz(n, prefix="psi/a").gates),
+            phi_factor: _wrapped_chain(n, "odd", m_odd, "phi"),
+        }
+        for factor, chain in chains.items():
+            reduced, naive = factor(n), circuit_from_gates(n, chain)
+            assert set(reduced.free_parameters) == set(naive.free_parameters)
+            assert len(reduced.gates) < len(naive.gates)
+            for _ in range(3):
+                vals = _rand_values(reduced, rng)
+                diff = unitary_of(reduced, vals) - unitary_of(naive, vals)
+                assert np.abs(diff).max() < 1e-10, (n, factor.__name__)
 
 
 def test_multi_layer_parameters():
