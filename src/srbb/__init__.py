@@ -4,7 +4,8 @@ The pieces, bottom to top:
 
 * ``algebra``  — recursive RBB/SRBB basis construction, index maps, and the
   grouping of basis elements into diagonal / even / odd synthesis factors.
-* ``circuit``  — minimal gate IR: dense simulation, sampling, QASM/JSON export.
+* ``circuit``  — gate IR of CNOT, RZ and RY: dense simulation, sampling,
+  QASM/JSON export.
 * ``compiler`` — emits the CNOT-reduced single-layer circuit and its naive
   counterpart, plus closed-form gate counts.
 * ``varopt``   — loss metrics, Nelder-Mead / Adam, and ``train`` to fit the

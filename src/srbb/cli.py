@@ -54,9 +54,6 @@ def cmd_compile(args) -> int:
         if args.layers != 1:
             print("error: --naive emits one layer; --layers must be 1", file=sys.stderr)
             return 2
-        if args.n < 3:
-            print("error: the naive layout needs n >= 3", file=sys.stderr)
-            return 2
         circuit = naive_circuit(args.n)
     else:
         circuit = synthesize_circuit(args.n, layers=args.layers)
@@ -92,38 +89,24 @@ def _verify_counts(n: int) -> dict:
     formula = gate_counts(n)
     tally = count_from_circuit(synthesize_circuit(n))
     ok = (formula.n_cnot, formula.n_rot) == (tally.n_cnot, tally.n_rot)
-    out = {
-        "pass": ok,
+    naive = count_from_circuit(naive_circuit(n))
+    red_ok = naive.n_cnot - formula.n_cnot == formula.cnot_reduction
+    return {
+        "pass": ok and red_ok,
         "formula": formula.to_json_dict(),
         "tally": {"n_cnot": tally.n_cnot, "n_rot": tally.n_rot},
+        "naive_cnot": naive.n_cnot,
     }
-    if n >= 3:
-        naive = count_from_circuit(naive_circuit(n))
-        red_ok = naive.n_cnot - formula.n_cnot == formula.cnot_reduction
-        out["naive_cnot"] = naive.n_cnot
-        out["pass"] = ok and red_ok
-    return out
 
 
 def _verify_equivalence(n: int, seed: int, draws: int = 5) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reduced = synthesize_circuit(n)
+    reduced, naive = synthesize_circuit(n), naive_circuit(n)
     worst = 0.0
-    if n == 2:
-        # no naive layout below n=3: check the zero-angle identity and
-        # unitarity of random-angle instances instead
-        zero = unitary_of(reduced)
-        worst = float(np.linalg.norm(zero - np.eye(4)))
-        for _ in range(draws):
-            vals = {p: rng.uniform(-np.pi, np.pi) for p in reduced.free_parameters}
-            u = unitary_of(reduced, vals)
-            worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(4))))
-    else:
-        naive = naive_circuit(n)
-        for _ in range(draws):
-            vals = {p: rng.uniform(-np.pi, np.pi) for p in reduced.free_parameters}
-            d = float(np.linalg.norm(unitary_of(reduced, vals) - unitary_of(naive, vals)))
-            worst = max(worst, d)
+    for _ in range(draws):
+        vals = {p: rng.uniform(-np.pi, np.pi) for p in reduced.free_parameters}
+        d = float(np.linalg.norm(unitary_of(reduced, vals) - unitary_of(naive, vals)))
+        worst = max(worst, d)
     return {"pass": worst < 1e-10, "max_frobenius": worst, "draws": draws}
 
 
@@ -174,7 +157,7 @@ def cmd_synthesize(args) -> int:
         return 2
     cfg = TrainConfig(
         loss=args.loss,
-        optimizer="nm" if args.optimizer in ("nm", "nelder_mead") else args.optimizer,
+        optimizer=args.optimizer,
         seed=train_seed,
         dataset_size=args.dataset_size,
         batch=args.batch,

@@ -278,6 +278,6 @@ def naive_circuit(n: int) -> Circuit:
     transposition set in full on both sides of its block, then the diagonal
     factor in ascending index order.  Shares parameter names with the
     reduced circuit."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     return circuit_from_gates(n, _odd_chain(n) + _even_chain(n) + _naive_z_gates(n))

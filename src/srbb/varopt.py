@@ -312,6 +312,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer == "nelder_mead":
+            self.optimizer = "nm"
         if self.dataset_size <= 0 or self.batch <= 0 or self.epochs <= 0:
             raise ValueError("sizes must be positive")
         if self.lr <= 0:

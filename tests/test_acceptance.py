@@ -67,9 +67,8 @@ def test_criterion_01_gate_count_exactness():
 def test_criterion_02_reduction_exactness():
     for n, red in FROZEN_REDUCTIONS.items():
         assert gate_counts(n).cnot_reduction == red, n
-        if n >= 3:  # no naive layout exists below n=3
-            naive = count_from_circuit(naive_circuit(n)).n_cnot
-            assert naive - gate_counts(n).n_cnot == red, n
+        naive = count_from_circuit(naive_circuit(n)).n_cnot
+        assert naive - gate_counts(n).n_cnot == red, n
     _line(2, True, "cnot reductions 4, 10, 48, 158 for n=2..5")
 
 

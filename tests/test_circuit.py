@@ -10,11 +10,11 @@ from srbb.circuit import (
     Gate,
     ParamTable,
     apply,
-    cancel_adjacent_cnots,
+    cancel_cnot_pairs,
     circuit_from_gates,
     cnot,
-    controlled,
     from_json,
+    from_json_dict,
     ry,
     rz,
     sample,
@@ -32,18 +32,16 @@ def _basis_state(n, index):
 
 
 def _random_circuit(rng, n, depth=12):
-    pool = ["RZ", "RY", "H", "X", "S"] + (["CNOT", "SWAP"] if n > 1 else [])
+    pool = ["RZ", "RY"] + (["CNOT"] if n > 1 else [])
     gates = []
     for _ in range(depth):
         kind = rng.choice(pool)
-        if kind == "CNOT" or kind == "SWAP":
+        if kind == "CNOT":
             a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate(kind, (int(a), int(b))))
-        elif kind in ("RZ", "RY"):
+            gates.append(cnot(int(a), int(b)))
+        else:
             gates.append(Gate(kind, (int(rng.integers(n)),),
                               float(rng.uniform(-np.pi, np.pi))))
-        else:
-            gates.append(Gate(kind, (int(rng.integers(n)),)))
     return circuit_from_gates(n, gates)
 
 
@@ -83,32 +81,15 @@ def test_z_string_conjugation_identity():
 
 
 def test_x_on_top_qubit():
-    circ = circuit_from_gates(2, [Gate("X", (0,))])
-    assert np.array_equal(apply(circ, None, _basis_state(2, 0)), _basis_state(2, 2))
+    # RY(pi) takes |0> to |1>; on qubit 0 that flips the most significant bit
+    circ = circuit_from_gates(2, [ry(0, math.pi)])
+    assert np.abs(apply(circ, None, _basis_state(2, 0)) - _basis_state(2, 2)).max() < 1e-15
 
 
 def test_swap_gate():
-    circ = circuit_from_gates(2, [Gate("SWAP", (0, 1))])
+    # three alternating CNOTs exchange the two qubits
+    circ = circuit_from_gates(2, [cnot(0, 1), cnot(1, 0), cnot(0, 1)])
     assert np.array_equal(unitary_of(circ), np.eye(4)[:, [0, 2, 1, 3]])
-
-
-def test_controlled_gates():
-    ccx = circuit_from_gates(3, [controlled("X", (0, 1), (2,))])
-    w = np.eye(8)[:, [0, 1, 2, 3, 4, 5, 7, 6]]
-    assert np.array_equal(unitary_of(ccx), w)
-
-    # open control triggers on |0>
-    ox = circuit_from_gates(2, [controlled("X", (0,), (1,), polarity=(0,))])
-    assert np.array_equal(unitary_of(ox), np.eye(4)[:, [1, 0, 2, 3]])
-
-    cswap = circuit_from_gates(3, [controlled("SWAP", (0,), (1, 2))])
-    assert np.array_equal(unitary_of(cswap), np.eye(8)[:, [0, 1, 2, 3, 4, 6, 5, 7]])
-
-    cry = circuit_from_gates(2, [controlled("RY", (0,), (1,), param=0.8)])
-    u = unitary_of(cry)
-    assert np.allclose(u[:2, :2], np.eye(2), atol=1e-15)
-    c, s = math.cos(0.4), math.sin(0.4)
-    assert np.allclose(u[2:, 2:], [[c, -s], [s, c]], atol=1e-15)
 
 
 def test_gate_validation():
@@ -117,9 +98,26 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("RZ", (0,))  # rotation without parameter
     with pytest.raises(ValueError):
-        Gate("CONTROLLED", (0, 1))  # no base/polarity
-    with pytest.raises(ValueError):
         Circuit(2, (cnot(0, 2),))  # qubit out of range
+
+
+def _one_gate_doc(entry):
+    return {"n": 2, "gates": [entry], "params": {}}
+
+
+def test_json_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind 'H'"):
+        from_json_dict(_one_gate_doc({"kind": "H", "qubits": [0], "param": None}))
+
+
+def test_json_rejects_two_qubit_rotation():
+    with pytest.raises(ValueError, match="RZ gate acts on 1 qubit"):
+        from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0, 1], "param": 0.3}))
+
+
+def test_json_rejects_one_qubit_cnot():
+    with pytest.raises(ValueError, match="CNOT gate acts on 2 qubit"):
+        from_json_dict(_one_gate_doc({"kind": "CNOT", "qubits": [0], "param": None}))
 
 
 def test_param_table_validation():
@@ -181,7 +179,7 @@ def test_sample_identity_circuit():
 
 
 def test_sample_hadamard_balance():
-    circ = circuit_from_gates(1, [Gate("H", (0,))])
+    circ = circuit_from_gates(1, [ry(0, math.pi / 2)])
     hist = sample(circ, None, _basis_state(1, 0), 10**5, seed=1)
     sigma = math.sqrt(10**5 * 0.25)
     assert abs(hist[0] - 50_000) < 5 * sigma
@@ -197,7 +195,7 @@ def test_sample_deterministic_given_seed():
 
 
 def test_sample_histogram_close_to_exact():
-    circ = circuit_from_gates(2, [Gate("H", (0,)), cnot(0, 1), ry(1, 1.1)])
+    circ = circuit_from_gates(2, [ry(0, math.pi / 2), cnot(0, 1), ry(1, 1.1)])
     amp = apply(circ, None, _basis_state(2, 0))
     exact = np.abs(amp) ** 2
     hist = sample(circ, None, _basis_state(2, 0), 10_000, seed=5)
@@ -213,29 +211,25 @@ def test_sample_rejects_zero_shots():
 # peephole pass
 
 def test_cancel_adjacent_pair():
-    circ = circuit_from_gates(2, [cnot(0, 1), cnot(0, 1)])
-    out, removed = cancel_adjacent_cnots(circ)
-    assert removed == 2 and out.gates == ()
+    out, removed = cancel_cnot_pairs([cnot(0, 1), cnot(0, 1)])
+    assert removed == 2 and out == []
 
 
 def test_cancel_blocked_by_control_wire():
-    circ = circuit_from_gates(2, [cnot(0, 1), rz(0, 0.3), cnot(0, 1)])
-    out, removed = cancel_adjacent_cnots(circ)
-    assert removed == 0 and len(out.gates) == 3
+    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(0, 0.3), cnot(0, 1)])
+    assert removed == 0 and len(out) == 3
 
 
 def test_cancel_skips_spectator_wires():
     # a gate on an untouched wire does not block the cancellation
-    circ = circuit_from_gates(3, [cnot(0, 1), rz(2, 0.3), cnot(0, 1)])
-    out, removed = cancel_adjacent_cnots(circ)
+    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(2, 0.3), cnot(0, 1)])
     assert removed == 2
-    assert [g.kind for g in out.gates] == ["RZ"]
+    assert [g.kind for g in out] == ["RZ"]
 
 
 def test_cancel_cascades():
-    circ = circuit_from_gates(2, [cnot(0, 1), cnot(1, 0), cnot(1, 0), cnot(0, 1)])
-    out, removed = cancel_adjacent_cnots(circ)
-    assert removed == 4 and out.gates == ()
+    out, removed = cancel_cnot_pairs([cnot(0, 1), cnot(1, 0), cnot(1, 0), cnot(0, 1)])
+    assert removed == 4 and out == []
 
 
 def test_cancel_preserves_unitary():
@@ -245,7 +239,8 @@ def test_cancel_preserves_unitary():
         circ = _random_circuit(rng, n, depth=20)
         vals = dict(zip(circ.free_parameters,
                         rng.uniform(-np.pi, np.pi, len(circ.free_parameters))))
-        out, _ = cancel_adjacent_cnots(circ)
+        out, _ = cancel_cnot_pairs(circ.gates)
+        out = Circuit(n, tuple(out), circ.params)
         assert np.abs(unitary_of(circ, vals) - unitary_of(out, vals)).max() < 1e-10
 
 
@@ -261,27 +256,14 @@ def test_json_round_trip():
     assert back == circ
 
 
-def test_json_round_trip_controlled():
-    circ = circuit_from_gates(3, [controlled("RY", (0, 2), (1,),
-                                             polarity=(0, 1), param="t")])
-    back = from_json(to_json(circ))
-    assert back.gates[0].polarity == (0, 1)
-    assert back.gates[0].base == "RY"
-
-
 def test_qasm_output():
-    circ = circuit_from_gates(2, [Gate("H", (0,)), cnot(0, 1), rz(1, "t")])
+    circ = circuit_from_gates(2, [ry(0, 0.5), cnot(0, 1), rz(1, "t")])
     text = to_qasm(circ, {"t": 0.25})
     lines = text.strip().splitlines()
     assert lines[0] == "OPENQASM 2.0;"
     assert lines[1] == 'include "qelib1.inc";'
     assert lines[2] == "qreg q[2];"
-    assert lines[3] == "h q[0];"
+    assert lines[3] == "ry(0.5) q[0];"
     assert lines[4] == "cx q[0],q[1];"
     assert lines[5] == "rz(0.25) q[1];"
 
-
-def test_qasm_open_controls_are_x_conjugated():
-    circ = circuit_from_gates(2, [controlled("X", (0,), (1,), polarity=(0,))])
-    line = to_qasm(circ).strip().splitlines()[-1]
-    assert line == "x q[0]; cx q[0],q[1]; x q[0];"

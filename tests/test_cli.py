@@ -49,10 +49,10 @@ def test_compile_rejects_n1(capsys):
     assert out == ""
 
 
-def test_compile_naive_needs_n3(capsys):
-    code, _, err = run_cli(capsys, "compile", "-n", "2", "--naive")
-    assert code == 2
-    assert "naive layout needs n >= 3" in err
+def test_compile_naive_n2_prints_counts(capsys):
+    code, out, _ = run_cli(capsys, "compile", "-n", "2", "--naive")
+    assert code == 0
+    assert out.strip() == "n_cnot=22 n_rot=21"
 
 
 def test_compile_naive_counts(capsys):
@@ -150,6 +150,14 @@ def test_verify_all_shape(capsys):
     assert set(doc) == {"n", "pass", "suites"}
     assert set(doc["suites"]) == {"basis", "counts", "equivalence"}
     assert doc["pass"] is True
+
+
+def test_verify_n2_checks_the_naive_oracle(capsys):
+    code, out, _ = run_cli(capsys, "verify", "-n", "2", "--suite", "all")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert suites["counts"]["naive_cnot"] == 22
+    assert suites["equivalence"]["max_frobenius"] < 1e-10
 
 
 def test_verify_equivalence_capped_at_n5(capsys):
@@ -355,10 +363,14 @@ def test_synthesize_adam_smoke(capsys):
     assert "fidelity=" in out
 
 
-def test_synthesize_accepts_nelder_mead_alias(capsys):
+def test_synthesize_accepts_nelder_mead_alias(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "synthesize", "cnot", "-n", "2",
-                         "--optimizer", "nelder_mead", "--seed", "5", *FAST)
+                         "--optimizer", "nelder_mead", "--seed", "5", *FAST,
+                         "--out", str(out_path))
     assert code == 0
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["cfg"]["optimizer"] == "nm"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Registry of benchmark unitaries."""
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ def test_ccry_mixed_polarity_block():
     want[4:6, 4:6] = [[c, -s], [s, c]]
     assert np.abs(u - want).max() < 1e-12
     assert abs(c - 0.92388) < 5e-6 and abs(s - 0.38268) < 5e-6
+
+
+def test_open_controls_and_qubit_order_are_exact():
+    # pins the control pattern of _ctrl and the qubit order of _op
+    ccx_open = named_target("ccx-open", 3).unitary  # X on q2 when q0 = q1 = 0
+    assert np.array_equal(ccx_open, np.eye(8)[:, [1, 0, 2, 3, 4, 5, 6, 7]])
+    assert np.array_equal(named_target("cs", 2).unitary, np.diag([1, 1, 1, 1j]))
+    cx20 = named_target("cx20", 3).unitary  # control is the least significant bit
+    assert np.array_equal(cx20, np.eye(8)[:, [0, 5, 2, 7, 4, 1, 6, 3]])
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    want = np.eye(8, dtype=complex)
+    want[4:6, 4:6] = [[c, -s], [s, c]]  # q0 filled, q1 open: the |10x> block
+    assert np.array_equal(named_target("ccry", 3).unitary, want)
 
 
 def test_iswap_matrix():

@@ -301,6 +301,11 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
 
 
+def test_train_config_maps_the_nelder_mead_alias():
+    assert TrainConfig(optimizer="nelder_mead").optimizer == "nm"
+    assert TrainConfig(optimizer="adam").optimizer == "adam"
+
+
 def test_train_rejects_bad_targets():
     cfg = TrainConfig()
     with pytest.raises(ValueError):
