@@ -16,7 +16,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,15 +37,6 @@ class BasisElement:
     index: int
     matrix: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        """JSON form: {"d": int, "j": int, "matrix": [[[re, im], ...], ...]}."""
-        d = self.matrix.shape[0]
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
-        return {"d": d, "j": self.index, "matrix": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 @dataclass(frozen=True)
 class Basis:
@@ -58,10 +48,6 @@ class Basis:
 
     def __post_init__(self):
         assert len(self.elements) == self.order**2
-
-    def matrix(self, j: int) -> np.ndarray:
-        """Element at 1-based position j."""
-        return self.elements[j - 1].matrix
 
 
 def diagonal_positions(d: int) -> list[int]:

@@ -2,10 +2,11 @@
 
 A Circuit is an ordered list of Gates over n qubits plus a table of named
 free angles.  The gate set is exactly the layer's: CNOT, RZ and RY; any
-other kind, or a gate on the wrong number of qubits, is rejected when the
-Gate is built.  Qubit 0 is the most significant bit of a state index, so
-|0...0> = (1, 0, ..., 0)^T, and the leftmost gate of a diagram is the first
-one applied to the state.
+other kind, a gate on the wrong number of qubits or on a non-integer qubit,
+a CNOT with an angle, or a rotation whose angle is neither a name nor a
+finite number, is rejected when the Gate is built.  Qubit 0 is the most
+significant bit of a state index, so |0...0> = (1, 0, ..., 0)^T, and the
+leftmost gate of a diagram is the first one applied to the state.
 
 Rotation conventions (these fix all circuit identities downstream):
 
@@ -23,7 +24,6 @@ qubit.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,10 +48,20 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r} (expected CNOT, RZ or RY)")
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} gate acts on {arity} qubit(s), got {self.qubits}")
+        for q in self.qubits:
+            # exactly int: JSON export writes qubits as they are
+            if type(q) is not int:
+                raise ValueError(f"{self.kind} gate qubits must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {self.kind} gate: {self.qubits}")
-        if arity == 1 and self.param is None:
+        p = self.param
+        if arity == 2:
+            if p is not None:
+                raise ValueError(f"CNOT gate takes no parameter, got {p!r}")
+        elif p is None:
             raise ValueError(f"{self.kind} gate needs a parameter")
+        elif not isinstance(p, str) and not (isinstance(p, (int, float)) and math.isfinite(p)):
+            raise ValueError(f"{self.kind} angle must be a name or a finite number, got {p!r}")
 
 
 def rz(q: int, param: str | float) -> Gate:
@@ -87,9 +97,6 @@ class ParamTable:
     @classmethod
     def from_dict(cls, d: dict) -> "ParamTable":
         return cls(tuple(d.keys()), tuple(float(v) for v in d.values()))
-
-    def with_values(self, values) -> "ParamTable":
-        return ParamTable(self.names, tuple(float(v) for v in values))
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, self.values))
@@ -260,19 +267,11 @@ def to_json_dict(circuit: Circuit) -> dict:
     return {"n": circuit.n, "gates": gates, "params": circuit.params.as_dict()}
 
 
-def to_json(circuit: Circuit) -> str:
-    return json.dumps(to_json_dict(circuit))
-
-
 def from_json_dict(doc: dict) -> Circuit:
     gates = tuple(Gate(entry["kind"], tuple(entry["qubits"]), entry.get("param"))
                   for entry in doc["gates"])
     params = ParamTable.from_dict(doc.get("params", {}))
     return Circuit(doc["n"], gates, params)
-
-
-def from_json(text: str) -> Circuit:
-    return from_json_dict(json.loads(text))
 
 
 def to_qasm(circuit: Circuit, params=None) -> str:

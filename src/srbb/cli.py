@@ -47,9 +47,6 @@ def _matrix_from_json(doc) -> np.ndarray:
 
 
 def cmd_compile(args) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return 2
     if args.naive:
         if args.layers != 1:
             print("error: --naive emits one layer; --layers must be 1", file=sys.stderr)
@@ -69,9 +66,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return 2
     print(json.dumps(gate_counts(args.n).to_json_dict()))
     return 0
 

@@ -17,7 +17,6 @@ circuits so both accept the same assignment.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .algebra import _k_of
@@ -50,9 +49,6 @@ class GateCounts:
     def to_json_dict(self) -> dict:
         return {"n_cnot": self.n_cnot, "n_rot": self.n_rot,
                 "cnot_reduction": self.cnot_reduction}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def gate_counts(n: int) -> GateCounts:
@@ -186,13 +182,6 @@ def _name_counter(prefix: str):
         yield f"{prefix}/{slot}"
 
 
-def m_zyz(n: int, prefix: str = "m") -> Circuit:
-    """ZYZ multiplexed block: 3*2^(n-1) rotations, 3*2^(n-1)-2 CNOTs."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return circuit_from_gates(n, _mzyz_gates(n, _name_counter(prefix)))
-
-
 def _m_odd_gates(n: int, names) -> list[Gate]:
     pre: list[Gate] = [rz(0, next(names))]
     for q in range(1, n - 1):
@@ -204,14 +193,6 @@ def _m_odd_gates(n: int, names) -> list[Gate]:
     for g in reversed(pre):
         post.append(rz(g.qubits[0], next(names)) if g.kind == "RZ" else g)
     return pre + core + post
-
-
-def m_odd(n: int, prefix: str = "m") -> Circuit:
-    """Multiplexed U(2) block: the ZYZ core wrapped by diagonal pre/post
-    scaling cascades.  5*2^(n-1)-2 rotations, 5*2^(n-1)-6 CNOTs."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return circuit_from_gates(n, _m_odd_gates(n, _name_counter(prefix)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +221,6 @@ def _odd_chain(n: int) -> list[Gate]:
 def _even_chain(n: int) -> list[Gate]:
     return (_wrapped_chain(n, _perm_even_gates, _mzyz_gates, "psi")
             + _mzyz_gates(n, _name_counter("psi/a")))
-
-
-def psi_factor(n: int) -> Circuit:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return circuit_from_gates(n, cancel_cnot_pairs(_even_chain(n))[0])
-
-
-def phi_factor(n: int) -> Circuit:
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    return circuit_from_gates(n, cancel_cnot_pairs(_odd_chain(n))[0])
 
 
 def synthesize_circuit(n: int, layers: int = 1) -> Circuit:

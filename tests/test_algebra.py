@@ -30,6 +30,11 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.diag([1.0, -1.0]).astype(complex)
 
 
+def _el(basis, j):
+    """Element at 1-based position j."""
+    return basis.elements[j - 1].matrix
+
+
 # ---------------------------------------------------------------------------
 # recursive construction
 
@@ -42,13 +47,13 @@ def test_order_2_is_the_pauli_basis():
 def test_order_3_hand_checked_elements():
     b = build_rbb(3)
     # embedded Pauli block with the (-1)^(d-1) = +1 corner
-    assert np.array_equal(b.matrix(3), np.diag([1.0, -1.0, 1.0]))
+    assert np.array_equal(_el(b, 3), np.diag([1.0, -1.0, 1.0]))
     # first new off-diagonal element: sigma_1 on states (2, 3)
     assert np.array_equal(
-        b.matrix(4), np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
+        _el(b, 4), np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex))
     # new diagonal element of an odd order
-    assert np.array_equal(b.matrix(8), np.diag([1.0, 1.0, -1.0]))
-    assert np.array_equal(b.matrix(9), np.eye(3))
+    assert np.array_equal(_el(b, 8), np.diag([1.0, 1.0, -1.0]))
+    assert np.array_equal(_el(b, 9), np.eye(3))
 
 
 def test_order_4_new_diagonal_duplicates_an_embedded_one():
@@ -56,9 +61,9 @@ def test_order_4_new_diagonal_duplicates_an_embedded_one():
     # position 15 is Z(x)Z, the one traceless +-1 diagonal outside the span
     # of positions 3, 8 and the identity, and differs from position 3
     b = build_rbb(4)
-    assert np.array_equal(b.matrix(3), np.diag([1.0, -1.0, 1.0, -1.0]))
-    assert np.array_equal(b.matrix(15), np.diag([1.0, -1.0, -1.0, 1.0]))
-    assert not np.array_equal(b.matrix(3), b.matrix(15))
+    assert np.array_equal(_el(b, 3), np.diag([1.0, -1.0, 1.0, -1.0]))
+    assert np.array_equal(_el(b, 15), np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert not np.array_equal(_el(b, 3), _el(b, 15))
 
 
 def test_rbb_duplicate_positions_even_orders():
@@ -68,7 +73,7 @@ def test_rbb_duplicate_positions_even_orders():
             (i, j)
             for i in range(1, d * d)
             for j in range(i + 1, d * d + 1)
-            if np.array_equal(b.matrix(i), b.matrix(j))
+            if np.array_equal(_el(b, i), _el(b, j))
         ]
         # a new even-order diagonal equal to an embedded one (e.g. sigma_3
         # as its trailing block, which repeats position 3 at d=4) makes the
@@ -83,9 +88,9 @@ def test_rbb_embeds_the_previous_order(d):
     small, big = build_rbb(d - 1), build_rbb(d)
     for j in range(1, (d - 1) ** 2):
         want = np.zeros((d, d), dtype=complex)
-        want[: d - 1, : d - 1] = small.matrix(j)
+        want[: d - 1, : d - 1] = _el(small, j)
         want[d - 1, d - 1] = (-1) ** (d - 1)
-        assert np.array_equal(big.matrix(j), want), j
+        assert np.array_equal(_el(big, j), want), j
 
 
 def test_building_a_basis_retains_no_memory(srbb_env):
@@ -120,7 +125,7 @@ def test_srbb_off_diagonals_match_rbb():
     diag = set(diagonal_positions(4))
     for j in range(1, 17):
         if j not in diag:
-            assert np.array_equal(b_s.matrix(j), b_r.matrix(j))
+            assert np.array_equal(_el(b_s, j), _el(b_r, j))
 
 
 def test_build_rejects_too_small_orders():
@@ -310,7 +315,7 @@ def test_element_exponential_matches_expm():
     b = build_srbb(2)
     for theta in rng.uniform(-np.pi, np.pi, 100):
         j = int(rng.integers(1, 17))
-        u = b.matrix(j)
+        u = _el(b, j)
         want = scipy.linalg.expm(1j * theta * u)
         assert np.abs(element_exponential(theta, u) - want).max() < 1e-10
 

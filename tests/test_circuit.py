@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metrics import hellinger
 from srbb.circuit import (
     Circuit,
     Gate,
@@ -13,16 +14,14 @@ from srbb.circuit import (
     cancel_cnot_pairs,
     circuit_from_gates,
     cnot,
-    from_json,
     from_json_dict,
     ry,
     rz,
     sample,
-    to_json,
+    to_json_dict,
     to_qasm,
     unitary_of,
 )
-from srbb.varopt import hellinger
 
 
 def _basis_state(n, index):
@@ -120,13 +119,27 @@ def test_json_rejects_one_qubit_cnot():
         from_json_dict(_one_gate_doc({"kind": "CNOT", "qubits": [0], "param": None}))
 
 
+def test_json_rejects_non_integer_qubit():
+    with pytest.raises(ValueError, match="qubits must be integers"):
+        from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0.5], "param": 0.1}))
+
+
+def test_json_rejects_cnot_with_param():
+    with pytest.raises(ValueError, match="CNOT gate takes no parameter"):
+        from_json_dict(_one_gate_doc({"kind": "CNOT", "qubits": [0, 1], "param": 0.7}))
+
+
+def test_json_rejects_non_finite_angle():
+    with pytest.raises(ValueError, match="finite number"):
+        from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0], "param": math.nan}))
+
+
 def test_param_table_validation():
     with pytest.raises(ValueError):
         ParamTable(("a", "a"), (0.0, 1.0))
     with pytest.raises(ValueError):
         ParamTable(("a",), (0.0, 1.0))
-    t = ParamTable.zeros(["a", "b"])
-    assert t.with_values([1.0, 2.0]).as_dict() == {"a": 1.0, "b": 2.0}
+    assert ParamTable.zeros(["a", "b"]).as_dict() == {"a": 0.0, "b": 0.0}
 
 
 def test_missing_parameter_is_a_domain_error():
@@ -250,10 +263,9 @@ def test_cancel_preserves_unitary():
 def test_json_round_trip():
     rng = np.random.default_rng(23)
     circ = _random_circuit(rng, 3)
-    doc = json.loads(to_json(circ))
-    assert set(doc) == {"n", "gates", "params"}
-    back = from_json(to_json(circ))
-    assert back == circ
+    text = json.dumps(to_json_dict(circ))
+    assert set(json.loads(text)) == {"n", "gates", "params"}
+    assert from_json_dict(json.loads(text)) == circ
 
 
 def test_qasm_output():

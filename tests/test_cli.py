@@ -348,6 +348,13 @@ def test_synthesize_rejects_n1(capsys):
     assert "n must be >= 2" in err
 
 
+def test_synthesize_refuses_nelder_mead_at_n6(capsys):
+    code, out, err = run_cli(capsys, "synthesize", "qft6", "-n", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Nelder-Mead is limited to n <= 5")
+
+
 def test_synthesize_random_su_smoke(capsys):
     code, out, _ = run_cli(capsys, "synthesize", "random-su", "-n", "2",
                            "--seed", "1", *FAST)
@@ -389,6 +396,19 @@ def test_module_entry_point(srbb_env):
         capture_output=True, text=True, env=srbb_env)
     assert proc.returncode == 0
     assert proc.stdout == "n_cnot=18 n_rot=21\n"
+
+
+def test_runtime_needs_numpy_only(srbb_env):
+    # the test-only dependencies must not leak into the package
+    code = ("import sys\n"
+            "for name in ('scipy', 'hypothesis', 'pytest'):\n"
+            "    sys.modules[name] = None\n"
+            "import srbb, srbb.cli\n"
+            "sys.exit(srbb.cli.main(['counts', '-n', '2']))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=srbb_env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_cnot"] == 18
 
 
 def test_console_script():

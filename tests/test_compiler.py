@@ -13,18 +13,35 @@ from srbb.algebra import element_exponential, grouping, srbb_element, transposit
 from srbb.circuit import cancel_cnot_pairs, circuit_from_gates, unitary_of
 from srbb.compiler import (
     GateCounts,
+    _even_chain,
+    _m_odd_gates,
+    _mzyz_gates,
+    _name_counter,
+    _odd_chain,
     count_from_circuit,
     gate_counts,
-    m_odd,
-    m_zyz,
     naive_circuit,
     permutation_factor,
-    phi_factor,
-    psi_factor,
     synthesize_circuit,
     z_factor,
 )
 from srbb.varopt import nelder_mead, su_projections
+
+
+def m_zyz(n, prefix="m"):
+    return circuit_from_gates(n, _mzyz_gates(n, _name_counter(prefix)))
+
+
+def m_odd(n, prefix="m"):
+    return circuit_from_gates(n, _m_odd_gates(n, _name_counter(prefix)))
+
+
+def psi_factor(n):
+    return circuit_from_gates(n, cancel_cnot_pairs(_even_chain(n))[0])
+
+
+def phi_factor(n):
+    return circuit_from_gates(n, cancel_cnot_pairs(_odd_chain(n))[0])
 
 
 def _rand_values(circ, rng):
@@ -253,11 +270,6 @@ def test_m_odd_scaling_cascades_mirror():
     assert post == pre[::-1]
 
 
-def test_m_odd_rejects_n2():
-    with pytest.raises(ValueError):
-        m_odd(2)
-
-
 def _fit(circ, target, rng, max_iter, starts):
     """Multi-start fit; a fresh start escapes the occasional stall."""
     names = circ.free_parameters
@@ -394,7 +406,7 @@ def _wrapped_chain(n, parity, block, prefix):
 
 def test_psi_factor_matches_its_naive_chain():
     # each reduced factor realises its unreduced chain, built here from the
-    # public permutation factors and multiplexed blocks only
+    # public permutation factors and the multiplexed blocks' gate lists
     rng = np.random.default_rng(31)
     for n in (3, 4):
         chains = {
