@@ -15,7 +15,7 @@ The pieces, bottom to top:
 """
 
 from .algebra import Basis, BasisElement, FactorGrouping, build_rbb, build_srbb, grouping
-from .circuit import Circuit, Gate, ParamTable, apply, sample, unitary_of
+from .circuit import Circuit, Gate, apply, sample, unitary_of
 from .compiler import GateCounts, gate_counts, naive_circuit, synthesize_circuit
 from .targets import TargetSpec, named_target, target_names
 from .varopt import TrainConfig, TrainReport, train
@@ -27,7 +27,6 @@ __all__ = [
     "FactorGrouping",
     "Gate",
     "GateCounts",
-    "ParamTable",
     "TargetSpec",
     "TrainConfig",
     "TrainReport",

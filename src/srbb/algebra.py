@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class Basis:
 
     order: int
     elements: tuple[BasisElement, ...]
-    kind: str  # "RBB" | "SRBB"
 
     def __post_init__(self):
         assert len(self.elements) == self.order**2
@@ -131,7 +130,7 @@ def build_rbb(d: int) -> Basis:
     if d < 2:
         raise ValueError("basis order must be >= 2")
     elems = tuple(BasisElement(j, _rbb_element(d, j)) for j in range(1, d * d + 1))
-    return Basis(order=d, elements=elems, kind="RBB")
+    return Basis(order=d, elements=elems)
 
 
 def z_string(n: int, ordinal: int) -> np.ndarray:
@@ -166,7 +165,7 @@ def build_srbb(n: int) -> Basis:
         raise ValueError("qubit count must be >= 1")
     d = 2**n
     elems = tuple(BasisElement(j, srbb_element(n, j)) for j in range(1, d * d + 1))
-    return Basis(order=d, elements=elems, kind="SRBB")
+    return Basis(order=d, elements=elems)
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +174,26 @@ def build_srbb(n: int) -> Basis:
 
 @dataclass
 class PropertyReport:
-    """Pass/fail per basis property, plus the worst deviation per numeric check.
+    """The failed basis properties, plus the worst deviation per numeric check.
 
     Property letters: a cardinality, b trace, c involution, d independent,
     e diagonal_positions, f identity_last.  Hermiticity is tracked alongside
-    as an element invariant.
+    as an element invariant.  failures names each failed property, in the
+    order checked; the basis passes when it is empty.
 
-    ``independent``: the complex rank of all d^2 elements is d^2 (for
+    ``"independent"``: the complex rank of all d^2 elements is d^2 (for
     Hermitian matrices, the same as over the reals).  At even orders, with
     the trace and identity checks, this means i*B_j (j < d^2) span su(d); at
     odd orders the non-identity elements have trace 1, so it means the d^2
     elements are a basis of the order-d matrix algebra.
     """
 
-    cardinality: bool
-    trace: bool
-    involution: bool
-    hermitian: bool
-    independent: bool
-    diagonal_positions: bool
-    identity_last: bool
-    max_deviation: dict[str, float] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    max_deviation: dict[str, float]
+    failures: list[str]
 
     @property
     def all_pass(self) -> bool:
-        return all([self.cardinality, self.trace, self.involution, self.hermitian,
-                    self.independent, self.diagonal_positions, self.identity_last])
+        return not self.failures
 
 
 def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
@@ -210,8 +202,7 @@ def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
     failures: list[str] = []
     dev = {"trace": 0.0, "involution": 0.0, "hermitian": 0.0, "identity_last": 0.0}
 
-    cardinality = len(basis.elements) == d * d
-    if not cardinality:
+    if len(basis.elements) != d * d:
         failures.append("cardinality")
 
     expected_trace = 0.0 if d % 2 == 0 else 1.0
@@ -222,19 +213,12 @@ def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
             dev["trace"] = max(dev["trace"], abs(np.trace(m) - expected_trace))
         dev["involution"] = max(dev["involution"], float(np.abs(m @ m - eye).max()))
         dev["hermitian"] = max(dev["hermitian"], float(np.abs(m - m.conj().T).max()))
-    trace_ok = dev["trace"] <= tol
-    invol_ok = dev["involution"] <= tol
-    herm_ok = dev["hermitian"] <= tol
-    if not trace_ok:
-        failures.append("trace")
-    if not invol_ok:
-        failures.append("involution")
-    if not herm_ok:
-        failures.append("hermitian")
+    for key in ("trace", "involution", "hermitian"):
+        if not dev[key] <= tol:
+            failures.append(key)
 
     stack = np.stack([el.matrix.ravel() for el in basis.elements])
-    independent = bool(np.linalg.matrix_rank(stack) == d * d)
-    if not independent:
+    if np.linalg.matrix_rank(stack) != d * d:
         failures.append("independent")
 
     diag_pos = set(diagonal_positions(d))
@@ -247,15 +231,9 @@ def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
         failures.append("diagonal_positions")
 
     dev["identity_last"] = float(np.abs(basis.elements[-1].matrix - eye).max())
-    ident_ok = dev["identity_last"] <= tol
-    if not ident_ok:
+    if not dev["identity_last"] <= tol:
         failures.append("identity_last")
-
-    return PropertyReport(
-        cardinality=cardinality, trace=trace_ok, involution=invol_ok,
-        hermitian=herm_ok, independent=independent, diagonal_positions=diag_ok,
-        identity_last=ident_ok, max_deviation=dev, failures=failures,
-    )
+    return PropertyReport(max_deviation=dev, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Gate-level circuit representation and dense simulation.
 
-A Circuit is an ordered list of Gates over n qubits plus a table of named
-free angles.  The gate set is exactly the layer's: CNOT, RZ and RY; any
-other kind, a gate on the wrong number of qubits or on a non-integer qubit,
-a CNOT with an angle, or a rotation whose angle is neither a name nor a
-finite number, is rejected when the Gate is built.  Qubit 0 is the most
-significant bit of a state index, so |0...0> = (1, 0, ..., 0)^T, and the
-leftmost gate of a diagram is the first one applied to the state.
+A Circuit is an ordered list of Gates over n qubits.  Its free parameters
+are derived from the gates: the angle names in first-use order.  No angle
+values are stored; simulation and export take a name -> angle mapping, or
+None for every named angle at 0.0.  The gate set is exactly the layer's:
+CNOT, RZ and RY; any other kind, a gate on the wrong number of qubits or on
+a non-integer qubit, a CNOT with an angle, or a rotation whose angle is
+neither a name nor a finite number, is rejected when the Gate is built.
+Qubit 0 is the most significant bit of a state index, so
+|0...0> = (1, 0, ..., 0)^T, and the leftmost gate of a diagram is the first
+one applied to the state.
 
 Rotation conventions (these fix all circuit identities downstream):
 
@@ -77,74 +80,32 @@ def cnot(control: int, target: int) -> Gate:
 
 
 @dataclass(frozen=True)
-class ParamTable:
-    """Ordered named angles (radians)."""
-
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate parameter names")
-        if len(self.names) != len(self.values):
-            raise ValueError("names/values length mismatch")
-
-    @classmethod
-    def zeros(cls, names) -> "ParamTable":
-        names = tuple(names)
-        return cls(names, (0.0,) * len(names))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParamTable":
-        return cls(tuple(d.keys()), tuple(float(v) for v in d.values()))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """n qubits, gates in application order, canonical free-parameter table."""
+    """n qubits and gates in application order.  free_parameters holds the
+    gates' angle names in first-use order; a circuit stores no angle values."""
 
     n: int
     gates: tuple[Gate, ...]
-    params: ParamTable = field(default_factory=lambda: ParamTable((), ()))
+    free_parameters: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))
+        names: dict[str, None] = {}
         for g in self.gates:
             if any(q < 0 or q >= self.n for q in g.qubits):
                 raise ValueError(f"gate {g.kind}{g.qubits} outside {self.n} qubits")
-
-    @property
-    def free_parameters(self) -> tuple[str, ...]:
-        return self.params.names
-
-
-def circuit_from_gates(n: int, gates) -> Circuit:
-    """Build a circuit, collecting named parameters in first-use order."""
-    gates = tuple(gates)
-    names: list[str] = []
-    seen = set()
-    for g in gates:
-        if isinstance(g.param, str) and g.param not in seen:
-            seen.add(g.param)
-            names.append(g.param)
-    return Circuit(n, gates, ParamTable.zeros(names))
+            if isinstance(g.param, str):
+                names[g.param] = None
+        object.__setattr__(self, "free_parameters", tuple(names))
 
 
 # ---------------------------------------------------------------------------
 # simulation kernels
 
 
-def _resolve(circuit: "Circuit", params) -> dict:
-    if params is None:
-        params = circuit.params
-    if isinstance(params, ParamTable):
-        return params.as_dict()
-    return dict(params)
+def _resolve(circuit: Circuit, params) -> dict:
+    """params as a name -> angle mapping; None sets every named angle to 0.0."""
+    return dict.fromkeys(circuit.free_parameters, 0.0) if params is None else params
 
 
 def _param_value(g: Gate, table: dict) -> float:
@@ -264,14 +225,17 @@ def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
 def to_json_dict(circuit: Circuit) -> dict:
     gates = [{"kind": g.kind, "qubits": list(g.qubits), "param": g.param}
              for g in circuit.gates]
-    return {"n": circuit.n, "gates": gates, "params": circuit.params.as_dict()}
+    return {"n": circuit.n, "gates": gates, "params": _resolve(circuit, None)}
 
 
 def from_json_dict(doc: dict) -> Circuit:
+    """Inverse of to_json_dict; the "params" table must be the one it writes."""
     gates = tuple(Gate(entry["kind"], tuple(entry["qubits"]), entry.get("param"))
                   for entry in doc["gates"])
-    params = ParamTable.from_dict(doc.get("params", {}))
-    return Circuit(doc["n"], gates, params)
+    circuit = Circuit(doc["n"], gates)
+    if list(doc.get("params", {}).items()) != list(_resolve(circuit, None).items()):
+        raise ValueError("params must name the gates' angles in first-use order, each at 0.0")
+    return circuit
 
 
 def to_qasm(circuit: Circuit, params=None) -> str:

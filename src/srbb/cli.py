@@ -32,17 +32,22 @@ class RunManifest:
     seed: int | None
     outputs: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["outputs"] = list(self.outputs)
-        return d
-
 
 def _matrix_to_json(u: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
 def _matrix_from_json(doc) -> np.ndarray:
+    """Complex matrix from a list of rows of [re, im] number pairs."""
+    if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
+        raise ValueError("matrix JSON must be a list of rows")
+    if len({len(row) for row in doc}) > 1:
+        raise ValueError("matrix JSON rows differ in length")
+    for row in doc:
+        for z in row:
+            if not (isinstance(z, list) and len(z) == 2
+                    and all(type(v) in (int, float) for v in z)):
+                raise ValueError(f"matrix JSON entry {z!r} is not an [re, im] number pair")
     return np.array([[complex(re, im) for re, im in row] for row in doc])
 
 
@@ -166,15 +171,15 @@ def cmd_synthesize(args) -> int:
     outputs = []
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(report.to_json(indent=2))
+            json.dump(report.to_json_dict(), fh, indent=2)
         outputs.append(args.out)
         manifest = RunManifest(
             command="synthesize", n=args.n, target=args.target,
-            cfg={k: v for k, v in asdict(cfg).items()},
+            cfg=asdict(cfg),
             seed=args.seed, outputs=tuple(outputs),
         )
         with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest.to_json_dict(), fh, indent=2)
+            json.dump(asdict(manifest), fh, indent=2)
     print(" ".join(f"{k}={v:.6e}" for k, v in report.final_loss.items()))
     return 0
 

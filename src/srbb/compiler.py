@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _k_of
-from .circuit import Circuit, Gate, cancel_cnot_pairs, circuit_from_gates, cnot, rz
+from .circuit import Circuit, Gate, cancel_cnot_pairs, cnot, rz
 
 
 def _gray(t: int) -> int:
@@ -72,19 +72,6 @@ def count_from_circuit(circuit: Circuit) -> GateCounts:
 # the diagonal factor
 
 
-def _level_slots(n: int, m: int):
-    """(basis index j, control qubit) per slot s = 1..2^(m-1) of level m."""
-    rows = 2 ** (m - 1)
-    out = []
-    for s in range(1, rows + 1):
-        dprime = 2 * _gray(s % rows) + 1
-        d = dprime << (n - m)
-        j = (d + 1) ** 2 - 1
-        ctrl = 0 if s == rows else m - 2 - _ntz(s)
-        out.append((j, ctrl))
-    return out
-
-
 def _z_param(n: int, ordinal: int) -> str:
     return f"z/{(ordinal + 1) ** 2 - 1}"
 
@@ -93,22 +80,23 @@ def z_factor(n: int) -> Circuit:
     """CNOT-reduced diagonal factor: 2^n - 1 RZ gates, 2^n - 2 CNOTs."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n == 2:
-        # the generic tail with its last two (commuting) RZs swapped.  This
-        # order fixes the n = 2 layer's parameter order, and with it the
-        # optimiser's start point: folding it into the tail would swap z/8
-        # and z/3 and change every 2-qubit training result.
-        gates = [cnot(0, 1), rz(1, "z/15"), cnot(0, 1), rz(0, "z/8"), rz(1, "z/3")]
-        return circuit_from_gates(2, gates)
     gates = []
-    for m in range(n, 2, -1):
-        for j, ctrl in _level_slots(n, m):
+    for m in range(n, 1, -1):
+        # level m: a multiplexed RZ on qubit m-1; slot s rotates the Z-string
+        # whose ordinal is 2*gray(s mod 2^(m-1)) + 1 shifted so that its last
+        # Z sits on qubit m-1
+        rows = 2 ** (m - 1)
+        for s, (ctrl, _) in enumerate(_mux_rows(m - 1), start=1):
             gates.append(cnot(ctrl, m - 1))
-            gates.append(rz(m - 1, f"z/{j}"))
-    gates += [cnot(0, 1), rz(1, _z_param(n, 3 * 2 ** (n - 2))),
-              cnot(0, 1), rz(1, _z_param(n, 2 ** (n - 2))),
-              rz(0, _z_param(n, 2 ** (n - 1)))]
-    return circuit_from_gates(n, gates)
+            gates.append(rz(m - 1, _z_param(n, (2 * _gray(s % rows) + 1) << (n - m))))
+    gates.append(rz(0, _z_param(n, 2 ** (n - 1))))
+    if n == 2:
+        # the last two (commuting) RZs swapped.  This order fixes the n = 2
+        # layer's parameter order, and with it the optimiser's start point:
+        # the generic order would swap z/8 and z/3 and change every 2-qubit
+        # training result.
+        gates[-2], gates[-1] = gates[-1], gates[-2]
+    return Circuit(n, gates)
 
 
 def _naive_z_gates(n: int) -> list[Gate]:
@@ -148,7 +136,7 @@ def permutation_factor(n: int, x: int, parity: str) -> Circuit:
         gates = _perm_odd_gates(n, x)
     else:
         raise ValueError("parity must be 'even' or 'odd'")
-    return circuit_from_gates(n, gates)
+    return Circuit(n, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +220,14 @@ def synthesize_circuit(n: int, layers: int = 1) -> Circuit:
         raise ValueError("layers must be >= 1")
     layer, _ = cancel_cnot_pairs(_odd_chain(n) + _even_chain(n) + list(z_factor(n).gates))
     if layers == 1:
-        return circuit_from_gates(n, layer)
+        return Circuit(n, layer)
     gates: list[Gate] = []
     for i in range(1, layers + 1):
         for g in layer:
             if isinstance(g.param, str):
                 g = Gate(g.kind, g.qubits, f"L{i}/{g.param}")
             gates.append(g)
-    return circuit_from_gates(n, gates)
+    return Circuit(n, gates)
 
 
 def naive_circuit(n: int) -> Circuit:
@@ -249,4 +237,4 @@ def naive_circuit(n: int) -> Circuit:
     reduced circuit."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return circuit_from_gates(n, _odd_chain(n) + _even_chain(n) + _naive_z_gates(n))
+    return Circuit(n, _odd_chain(n) + _even_chain(n) + _naive_z_gates(n))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, ParamTable, unitary_of
+from .circuit import Circuit, unitary_of
 from .compiler import gate_counts, synthesize_circuit
 
 LOSSES = ("frobenius", "trace", "fidelity")
@@ -271,7 +271,7 @@ class TrainReport:
     """
 
     final_loss: dict[str, float]
-    best_params: ParamTable
+    best_params: dict[str, float]
     recovered_unitary: np.ndarray
     wall_time: float
     loss_trace: list[float] = field(default_factory=list)
@@ -280,24 +280,19 @@ class TrainReport:
         u = self.recovered_unitary
         return {
             "loss": dict(self.final_loss),
-            "params": list(self.best_params.values),
+            "params": list(self.best_params.values()),
             "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in u],
             "wall_ms": self.wall_time * 1000.0,
             "trace_of_loss": list(self.loss_trace),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        import json
 
-        return json.dumps(self.to_json_dict(), indent=indent)
-
-
-def _evolved_overlaps(u_circ: np.ndarray, u_ideal: np.ndarray,
-                      states: np.ndarray) -> np.ndarray:
-    """|<psi U_circ^dag U_ideal psi>|^2 per state row, in index order."""
+def _evolved_overlaps(u_circ: np.ndarray, states: np.ndarray,
+                      evolved: np.ndarray) -> np.ndarray:
+    """|<psi U_circ^dag U_ideal psi>|^2 per state row, in index order;
+    evolved holds the rows U_ideal psi (states @ u_ideal.T)."""
     a = states @ u_circ.T
-    b = states @ u_ideal.T
-    return np.abs(np.einsum("ij,ij->i", a.conj(), b)) ** 2
+    return np.abs(np.einsum("ij,ij->i", a.conj(), evolved)) ** 2
 
 
 def _make_objective(circuit: Circuit, names: tuple[str, ...], loss: str,
@@ -314,9 +309,11 @@ def _make_objective(circuit: Circuit, names: tuple[str, ...], loss: str,
             return float(np.linalg.norm(u - target_su))
         return objective
 
+    evolved = states @ target_su.T
+
     def objective(x):
         u = unitary_of(circuit, dict(zip(names, x)))
-        ov = _evolved_overlaps(u, target_su, states)
+        ov = _evolved_overlaps(u, states, evolved)
         if loss == "trace":
             return float(np.mean(2.0 * np.sqrt(np.clip(1.0 - ov, 0.0, None))))
         return float(np.mean(1.0 - ov))
@@ -381,12 +378,12 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
             if f_cand < best_f:
                 best_x, best_f = x_cand, f_cand
 
-    params = ParamTable(names, tuple(float(v) for v in best_x))
+    params = {name: float(v) for name, v in zip(names, best_x)}
     u_best = unitary_of(circuit, params)
     recovered = phase_recovery(u_best, target)
 
     holdout = random_states(2**n, 10, holdout_rng)
-    ov = _evolved_overlaps(u_best, target_su, holdout)
+    ov = _evolved_overlaps(u_best, holdout, holdout @ target_su.T)
     evo = 2.0 * np.sqrt(np.clip(1.0 - ov, 0.0, None))
     final = {
         "frobenius": float(np.linalg.norm(recovered - target)),

@@ -9,10 +9,8 @@ from metrics import hellinger
 from srbb.circuit import (
     Circuit,
     Gate,
-    ParamTable,
     apply,
     cancel_cnot_pairs,
-    circuit_from_gates,
     cnot,
     from_json_dict,
     ry,
@@ -22,6 +20,7 @@ from srbb.circuit import (
     to_qasm,
     unitary_of,
 )
+from srbb.compiler import synthesize_circuit
 
 
 def _basis_state(n, index):
@@ -41,7 +40,7 @@ def _random_circuit(rng, n, depth=12):
         else:
             gates.append(Gate(kind, (int(rng.integers(n)),),
                               float(rng.uniform(-np.pi, np.pi))))
-    return circuit_from_gates(n, gates)
+    return Circuit(n, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +52,9 @@ def test_empty_circuit_is_identity():
 
 def test_rotation_matrices():
     phi = 0.7
-    u = unitary_of(circuit_from_gates(1, [rz(0, phi)]))
+    u = unitary_of(Circuit(1, [rz(0, phi)]))
     assert np.allclose(u, np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]), atol=1e-15)
-    u = unitary_of(circuit_from_gates(1, [ry(0, phi)]))
+    u = unitary_of(Circuit(1, [ry(0, phi)]))
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     assert np.allclose(u, [[c, -s], [s, c]], atol=1e-15)
 
@@ -63,31 +62,31 @@ def test_rotation_matrices():
 def test_cnot_bottom_control_is_p24():
     # qubit 0 is the most significant bit, so control-on-last swaps |01>,|11>
     p24 = np.eye(4)[:, [0, 3, 2, 1]]
-    assert np.array_equal(unitary_of(circuit_from_gates(2, [cnot(1, 0)])), p24)
+    assert np.array_equal(unitary_of(Circuit(2, [cnot(1, 0)])), p24)
 
 
 def test_cnot_top_control():
-    u = unitary_of(circuit_from_gates(2, [cnot(0, 1)]))
+    u = unitary_of(Circuit(2, [cnot(0, 1)]))
     assert np.array_equal(u, np.eye(4)[:, [0, 1, 3, 2]])
 
 
 def test_z_string_conjugation_identity():
     # CNOT(0,1) RZ(q1, -2t) CNOT(0,1) = exp(i t Z x Z)
     t = 0.37
-    circ = circuit_from_gates(2, [cnot(0, 1), rz(1, -2 * t), cnot(0, 1)])
+    circ = Circuit(2, [cnot(0, 1), rz(1, -2 * t), cnot(0, 1)])
     want = np.diag(np.exp(1j * t * np.array([1, -1, -1, 1])))
     assert np.abs(unitary_of(circ) - want).max() < 1e-12
 
 
 def test_x_on_top_qubit():
     # RY(pi) takes |0> to |1>; on qubit 0 that flips the most significant bit
-    circ = circuit_from_gates(2, [ry(0, math.pi)])
+    circ = Circuit(2, [ry(0, math.pi)])
     assert np.abs(apply(circ, None, _basis_state(2, 0)) - _basis_state(2, 2)).max() < 1e-15
 
 
 def test_swap_gate():
     # three alternating CNOTs exchange the two qubits
-    circ = circuit_from_gates(2, [cnot(0, 1), cnot(1, 0), cnot(0, 1)])
+    circ = Circuit(2, [cnot(0, 1), cnot(1, 0), cnot(0, 1)])
     assert np.array_equal(unitary_of(circ), np.eye(4)[:, [0, 2, 1, 3]])
 
 
@@ -134,23 +133,27 @@ def test_json_rejects_non_finite_angle():
         from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0], "param": math.nan}))
 
 
-def test_param_table_validation():
-    with pytest.raises(ValueError):
-        ParamTable(("a", "a"), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        ParamTable(("a",), (0.0, 1.0))
-    assert ParamTable.zeros(["a", "b"]).as_dict() == {"a": 0.0, "b": 0.0}
-
-
 def test_missing_parameter_is_a_domain_error():
     circ = Circuit(1, (rz(0, "theta"),))
     with pytest.raises(ValueError, match="theta"):
         unitary_of(circ, {})
 
 
-def test_circuit_from_gates_collects_names_in_first_use_order():
-    circ = circuit_from_gates(2, [rz(0, "b"), ry(1, "a"), rz(1, "b")])
+def test_circuit_collects_names_in_first_use_order():
+    circ = Circuit(2, [rz(0, "b"), ry(1, "a"), rz(1, "b")])
     assert circ.free_parameters == ("b", "a")
+    assert circ.gates == (rz(0, "b"), ry(1, "a"), rz(1, "b"))
+    assert Circuit(1, (rz(0, "theta"),)).free_parameters == ("theta",)
+
+
+def test_none_sets_every_named_angle_to_zero():
+    circ = synthesize_circuit(2)
+    zeros = dict.fromkeys(circ.free_parameters, 0.0)
+    state = _basis_state(2, 1)
+    assert np.array_equal(sample(circ, None, state, 1000, seed=4),
+                          sample(circ, zeros, state, 1000, seed=4))
+    assert np.array_equal(unitary_of(circ), unitary_of(circ, zeros))
+    assert to_qasm(circ) == to_qasm(circ, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,7 @@ def test_sample_identity_circuit():
 
 
 def test_sample_hadamard_balance():
-    circ = circuit_from_gates(1, [ry(0, math.pi / 2)])
+    circ = Circuit(1, [ry(0, math.pi / 2)])
     hist = sample(circ, None, _basis_state(1, 0), 10**5, seed=1)
     sigma = math.sqrt(10**5 * 0.25)
     assert abs(hist[0] - 50_000) < 5 * sigma
@@ -208,7 +211,7 @@ def test_sample_deterministic_given_seed():
 
 
 def test_sample_histogram_close_to_exact():
-    circ = circuit_from_gates(2, [ry(0, math.pi / 2), cnot(0, 1), ry(1, 1.1)])
+    circ = Circuit(2, [ry(0, math.pi / 2), cnot(0, 1), ry(1, 1.1)])
     amp = apply(circ, None, _basis_state(2, 0))
     exact = np.abs(amp) ** 2
     hist = sample(circ, None, _basis_state(2, 0), 10_000, seed=5)
@@ -253,7 +256,7 @@ def test_cancel_preserves_unitary():
         vals = dict(zip(circ.free_parameters,
                         rng.uniform(-np.pi, np.pi, len(circ.free_parameters))))
         out, _ = cancel_cnot_pairs(circ.gates)
-        out = Circuit(n, tuple(out), circ.params)
+        out = Circuit(n, out)
         assert np.abs(unitary_of(circ, vals) - unitary_of(out, vals)).max() < 1e-10
 
 
@@ -268,8 +271,22 @@ def test_json_round_trip():
     assert from_json_dict(json.loads(text)) == circ
 
 
+@pytest.mark.parametrize("params", [
+    {"a": 0.0},
+    {"a": 0.0, "b": 0.0, "c": 0.0},
+    {"b": 0.0, "a": 0.0},
+    {"a": 0.0, "b": 0.5},
+], ids=["missing", "unused", "out-of-order", "non-zero"])
+def test_json_rejects_params_that_differ_from_the_gates(params):
+    doc = to_json_dict(Circuit(2, [rz(0, "a"), cnot(0, 1), ry(1, "b")]))
+    assert doc["params"] == {"a": 0.0, "b": 0.0}
+    assert from_json_dict(doc).free_parameters == ("a", "b")
+    with pytest.raises(ValueError, match="params must name the gates' angles"):
+        from_json_dict({**doc, "params": params})
+
+
 def test_qasm_output():
-    circ = circuit_from_gates(2, [ry(0, 0.5), cnot(0, 1), rz(1, "t")])
+    circ = Circuit(2, [ry(0, 0.5), cnot(0, 1), rz(1, "t")])
     text = to_qasm(circ, {"t": 0.25})
     lines = text.strip().splitlines()
     assert lines[0] == "OPENQASM 2.0;"

@@ -319,6 +319,21 @@ def test_synthesize_rejects_non_unitary_file(tmp_path, capsys):
     assert "not unitary" in err
 
 
+@pytest.mark.parametrize("doc, problem", [
+    ([[["a", "b"]]], "not an [re, im] number pair"),
+    ([[1]], "not an [re, im] number pair"),
+    (5, "must be a list of rows"),
+    ({"a": 1}, "must be a list of rows"),
+    ([[[1, 0], [0, 0]], [[0, 0]]], "rows differ in length"),
+], ids=["string-pair", "bare-number", "number", "object", "ragged"])
+def test_synthesize_rejects_malformed_file(tmp_path, capsys, doc, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "synthesize", f"file:{path}", "-n", "2")
+    assert code == 2
+    assert err.startswith("error: matrix JSON") and problem in err
+
+
 def test_synthesize_rejects_non_finite_file(tmp_path, capsys):
     path = tmp_path / "nan.json"
     rows = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]

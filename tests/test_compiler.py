@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import unitary_group
 
 from srbb.algebra import element_exponential, grouping, srbb_element, transposition_matrix
-from srbb.circuit import cancel_cnot_pairs, circuit_from_gates, unitary_of
+from srbb.circuit import Circuit, cancel_cnot_pairs, unitary_of
 from srbb.compiler import (
     GateCounts,
     _even_chain,
@@ -29,19 +29,19 @@ from srbb.varopt import nelder_mead, su_projections
 
 
 def m_zyz(n, prefix="m"):
-    return circuit_from_gates(n, _mzyz_gates(n, _name_counter(prefix)))
+    return Circuit(n, _mzyz_gates(n, _name_counter(prefix)))
 
 
 def m_odd(n, prefix="m"):
-    return circuit_from_gates(n, _m_odd_gates(n, _name_counter(prefix)))
+    return Circuit(n, _m_odd_gates(n, _name_counter(prefix)))
 
 
 def psi_factor(n):
-    return circuit_from_gates(n, cancel_cnot_pairs(_even_chain(n))[0])
+    return Circuit(n, cancel_cnot_pairs(_even_chain(n))[0])
 
 
 def phi_factor(n):
-    return circuit_from_gates(n, cancel_cnot_pairs(_odd_chain(n))[0])
+    return Circuit(n, cancel_cnot_pairs(_odd_chain(n))[0])
 
 
 def _rand_values(circ, rng):
@@ -415,7 +415,7 @@ def test_psi_factor_matches_its_naive_chain():
             phi_factor: _wrapped_chain(n, "odd", m_odd, "phi"),
         }
         for factor, chain in chains.items():
-            reduced, naive = factor(n), circuit_from_gates(n, chain)
+            reduced, naive = factor(n), Circuit(n, chain)
             assert set(reduced.free_parameters) == set(naive.free_parameters)
             assert len(reduced.gates) < len(naive.gates)
             for _ in range(3):
