@@ -57,72 +57,47 @@ def diagonal_positions(d: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # recursive construction
 
-def _perm_pk(k: int, d: int) -> np.ndarray:
-    """Permutation P_(k, d-1): identity with rows k and d-1 swapped (1-based)."""
-    p = np.eye(d, dtype=complex)
-    if k != d - 1:
-        p[[k - 1, d - 2]] = p[[d - 2, k - 1]]
-    return p
-
-
-def _k_sequence(d: int) -> list[int]:
-    """Block ordering for the off-diagonal methods: d-1 first, then 1..d-2.
-
-    The leading element is the one whose conjugating permutation is the
-    identity.
-    """
-    return [d - 1] + list(range(1, d - 1))
-
-
 def _rbb_element(d: int, j: int) -> np.ndarray:
     """Single RBB element, in closed form.
 
     The order-d basis embeds every order-(d-1) element with the corner sign
-    (-1)^(d-1).  Unrolled, element j < d^2 is the element that first appears
-    at order d0 = isqrt(j) + 1, placed in the top-left d0 x d0 block, with
-    (-1)^(m-1) at every further diagonal position m = d0+1..d (1-based).
+    (-1)^(d-1).  Unrolled, element j < d^2 is diag((-1)^m) with its top-left
+    d0 x d0 block, d0 = isqrt(j) + 1, replaced by the element order d0 adds:
+    sigma_j at d0 = 2, a new +-1 diagonal at j = d0^2 - 1, and otherwise
+    sigma_1 (the first d0-1 offsets past (d0-1)^2) or sigma_2 (the next
+    d0-1) on the states a < b = d0-1.  That last is the paper's
+    P_(k,d0-1) (diag((-1)^l) + sigma) P_(k,d0-1) written out: with
+    pos = offset mod (d0-1), a = k-1 is d0-2 at pos = 0 and pos-1 after it,
+    and the swap moves the sign (-1)^a from position a to position d0-2.
     """
     if j == d * d:  # identity caps the basis
         return np.eye(d, dtype=complex)
-    d0 = math.isqrt(j) + 1
     out = np.diag((-1.0) ** np.arange(d)).astype(complex)
-    out[:d0, :d0] = _new_rbb_element(d0, j)
+    d0 = math.isqrt(j) + 1
+    if d0 == 2:
+        out[:2, :2] = (SIGMA_1, SIGMA_2, SIGMA_3)[j - 1]
+    elif j == d0 * d0 - 1:  # new diagonal element
+        half = d0 // 2
+        if d0 % 2 == 1:
+            signs = [1.0] * (half + 1) + [-1.0] * half
+        else:
+            # the element must lie outside the span of the embedded diagonals
+            # and the identity.  At d=4 those are diag(1,-1,1,-1),
+            # diag(1,1,-1,-1) and I, so the only traceless +-1 diagonal left
+            # is +-diag(1,-1,-1,1) (the Z(x)Z string): the trailing block is
+            # -sigma_3, not sigma_3, which would reproduce the embedded
+            # element at position 3.
+            signs = [1.0] * (half - 1) + [-1.0] * (half - 1) + [-1.0, 1.0]
+        out[range(d0), range(d0)] = signs
+    else:  # new off-diagonal element
+        offset = j - (d0 - 1) ** 2
+        sigma = SIGMA_1 if offset < d0 - 1 else SIGMA_2
+        pos = offset % (d0 - 1)
+        a, b = (d0 - 2 if pos == 0 else pos - 1), d0 - 1
+        out[d0 - 2, d0 - 2] = (-1) ** a
+        out[a, a] = out[b, b] = 0
+        out[a, b], out[b, a] = sigma[0, 1], sigma[1, 0]
     return out
-
-
-def _new_rbb_element(d: int, j: int) -> np.ndarray:
-    """Element j of the order-d basis for (d-1)^2 <= j < d^2: one of the
-    2(d-1) + 1 elements that order d adds to the embedded order-(d-1) basis."""
-    if d == 2:
-        return (SIGMA_1, SIGMA_2, SIGMA_3)[j - 1]
-
-    if j == d * d - 1:  # new diagonal element
-        if d % 2 == 1:
-            half = d // 2
-            return np.diag(np.concatenate([np.ones(half + 1), -np.ones(half)])).astype(complex)
-        # the element must lie outside the span of the embedded diagonals
-        # and the identity.  At d=4 those are diag(1,-1,1,-1), diag(1,1,-1,-1)
-        # and I, so the only traceless +-1 diagonal left is +-diag(1,-1,-1,1)
-        # (the Z(x)Z string): the trailing block is -sigma_3, not sigma_3,
-        # which would reproduce the embedded element at position 3.
-        half = d // 2 - 1
-        sigma = np.concatenate([np.ones(half), -np.ones(half), [-1.0, 1.0]])
-        return np.diag(sigma).astype(complex)
-
-    # new off-diagonal elements: embedded sigma_1 (first d-1 positions) or
-    # sigma_2 (next d-1), conjugated into place
-    offset = j - (d - 1) ** 2
-    if offset < d - 1:
-        block_pos, sigma = offset + 1, SIGMA_1
-    else:
-        block_pos, sigma = offset - (d - 1) + 1, SIGMA_2
-    k = _k_sequence(d)[block_pos - 1]
-    core = np.zeros((d, d), dtype=complex)
-    signs = [(-1) ** l for l in range(d - 2)]  # diag{(-1)^(l-1)}, dimension d-2
-    core[: d - 2, : d - 2] = np.diag(signs)
-    core[d - 2 :, d - 2 :] = sigma
-    p = _perm_pk(k, d)
-    return p @ core @ p
 
 
 def build_rbb(d: int) -> Basis:
@@ -137,14 +112,10 @@ def z_string(n: int, ordinal: int) -> np.ndarray:
     """Diagonal of the Pauli-Z tensor string for a diagonal ordinal.
 
     The ordinal's n-bit expansion (qubit 0 = most significant bit) selects
-    sigma_3 where the bit is 1 and the identity where it is 0.  Returned as
-    the length-2^n diagonal vector.
+    sigma_3 where the bit is 1 and the identity where it is 0, so entry i
+    of the length-2^n diagonal is (-1)^popcount(i & ordinal).
     """
-    diag = np.ones(1)
-    for q in range(n):
-        bit = (ordinal >> (n - 1 - q)) & 1
-        diag = np.kron(diag, np.array([1.0, -1.0]) if bit else np.ones(2))
-    return diag
+    return np.array([(-1.0) ** (i & ordinal).bit_count() for i in range(2**n)])
 
 
 def srbb_element(n: int, j: int) -> np.ndarray:

@@ -6,7 +6,8 @@ values are stored; simulation and export take a name -> angle mapping, or
 None for every named angle at 0.0.  The gate set is exactly the layer's:
 CNOT, RZ and RY; any other kind, a gate on the wrong number of qubits or on
 a non-integer qubit, a CNOT with an angle, or a rotation whose angle is
-neither a name nor a finite number, is rejected when the Gate is built.
+neither a name nor a finite number (a bool is not one), is rejected when
+the Gate is built, and a Circuit needs an integer n >= 1.
 Qubit 0 is the most significant bit of a state index, so
 |0...0> = (1, 0, ..., 0)^T, and the leftmost gate of a diagram is the first
 one applied to the state.
@@ -63,7 +64,8 @@ class Gate:
                 raise ValueError(f"CNOT gate takes no parameter, got {p!r}")
         elif p is None:
             raise ValueError(f"{self.kind} gate needs a parameter")
-        elif not isinstance(p, str) and not (isinstance(p, (int, float)) and math.isfinite(p)):
+        elif isinstance(p, bool) or not (
+                isinstance(p, str) or isinstance(p, (int, float)) and math.isfinite(p)):
             raise ValueError(f"{self.kind} angle must be a name or a finite number, got {p!r}")
 
 
@@ -89,6 +91,8 @@ class Circuit:
     free_parameters: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"qubit count must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         names: dict[str, None] = {}
         for g in self.gates:
@@ -230,6 +234,12 @@ def to_json_dict(circuit: Circuit) -> dict:
 
 def from_json_dict(doc: dict) -> Circuit:
     """Inverse of to_json_dict; the "params" table must be the one it writes."""
+    if not isinstance(doc.get("gates"), list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("qubits"), list)
+            for entry in doc["gates"]):
+        raise ValueError("gates must be a list of objects, each with a list of qubits")
+    if not isinstance(doc.get("params", {}), dict):
+        raise ValueError("params must be an object")
     gates = tuple(Gate(entry["kind"], tuple(entry["qubits"]), entry.get("param"))
                   for entry in doc["gates"])
     circuit = Circuit(doc["n"], gates)

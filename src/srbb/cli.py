@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .algebra import build_srbb, check_basis_properties
 from .circuit import Circuit, to_json_dict, to_qasm, unitary_of
 from .compiler import gate_counts, count_from_circuit, naive_circuit, synthesize_circuit
 from .targets import named_target, random_su, target_names
-from .varopt import TrainConfig, _check_unitary, train
+from .varopt import LOSSES, OPTIMIZERS, TrainConfig, _check_unitary, matrix_to_json, train
 
 
 @dataclass
@@ -31,10 +31,6 @@ class RunManifest:
     cfg: dict
     seed: int | None
     outputs: tuple[str, ...]
-
-
-def _matrix_to_json(u: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
 def _matrix_from_json(doc) -> np.ndarray:
@@ -154,19 +150,9 @@ def cmd_synthesize(args) -> int:
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    cfg = TrainConfig(
-        loss=args.loss,
-        optimizer=args.optimizer,
-        seed=train_seed,
-        dataset_size=args.dataset_size,
-        batch=args.batch,
-        lr=args.lr,
-        epochs=args.epochs,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        restarts=args.restarts,
-        target_loss=args.target_loss,
-    )
+    # every TrainConfig field but the seed is the option of the same name
+    options = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "seed"}
+    cfg = TrainConfig(seed=train_seed, **options)
     report = train(args.n, target, cfg)
     outputs = []
     if args.out:
@@ -195,7 +181,7 @@ def cmd_targets(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    doc = _matrix_to_json(spec.unitary)
+    doc = matrix_to_json(spec.unitary)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh)
@@ -233,20 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synthesize", help="train the circuit against a target")
     s.add_argument("target", help="registry name, random-su, or file:PATH")
     s.add_argument("-n", type=int, required=True)
-    s.add_argument("--loss", choices=("frobenius", "trace", "fidelity"),
-                   default="frobenius")
-    s.add_argument("--optimizer", choices=("nm", "nelder_mead", "adam"),
-                   default="nm")
+    defaults = TrainConfig()
+    s.add_argument("--loss", choices=LOSSES, default=defaults.loss)
+    s.add_argument("--optimizer", choices=OPTIMIZERS, default=defaults.optimizer)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", metavar="PATH", help="write the training report JSON")
-    s.add_argument("--dataset-size", type=int, default=1000)
-    s.add_argument("--batch", type=int, default=64)
-    s.add_argument("--lr", type=float, default=0.01)
-    s.add_argument("--epochs", type=int, default=20)
-    s.add_argument("--max-iter", type=int, default=None)
-    s.add_argument("--tol", type=float, default=1e-12)
-    s.add_argument("--restarts", type=int, default=8)
-    s.add_argument("--target-loss", type=float, default=1e-8)
+    s.add_argument("--dataset-size", type=int, default=defaults.dataset_size)
+    s.add_argument("--batch", type=int, default=defaults.batch)
+    s.add_argument("--lr", type=float, default=defaults.lr)
+    s.add_argument("--epochs", type=int, default=defaults.epochs)
+    s.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    s.add_argument("--tol", type=float, default=defaults.tol)
+    s.add_argument("--restarts", type=int, default=defaults.restarts)
+    s.add_argument("--target-loss", type=float, default=defaults.target_loss)
     s.set_defaults(func=cmd_synthesize)
 
     t = sub.add_parser("targets", help="list registry targets or emit one as JSON")

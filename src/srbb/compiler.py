@@ -17,7 +17,7 @@ circuits so both accept the same assignment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algebra import _k_of
 from .circuit import Circuit, Gate, cancel_cnot_pairs, cnot, rz
@@ -47,8 +47,7 @@ class GateCounts:
     cnot_reduction: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {"n_cnot": self.n_cnot, "n_rot": self.n_rot,
-                "cnot_reduction": self.cnot_reduction}
+        return asdict(self)
 
 
 def gate_counts(n: int) -> GateCounts:

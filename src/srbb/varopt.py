@@ -277,14 +277,18 @@ class TrainReport:
     loss_trace: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        u = self.recovered_unitary
         return {
             "loss": dict(self.final_loss),
             "params": list(self.best_params.values()),
-            "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in u],
+            "unitary": matrix_to_json(self.recovered_unitary),
             "wall_ms": self.wall_time * 1000.0,
             "trace_of_loss": list(self.loss_trace),
         }
+
+
+def matrix_to_json(u: np.ndarray) -> list:
+    """Complex matrix as a list of rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
 def _evolved_overlaps(u_circ: np.ndarray, states: np.ndarray,
@@ -357,22 +361,20 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
         steps_per_epoch = math.ceil(cfg.dataset_size / cfg.batch)
         steps = cfg.epochs * steps_per_epoch
         batches = np.array_split(dataset, steps_per_epoch) if needs_states else [None]
-        per_step = (
-            _make_objective(circuit, names, cfg.loss, target_su,
-                            batches[t % len(batches)])
-            for t in range(steps))
-        best_x, best_f = adam(per_step, x0, steps=steps, lr=cfg.lr,
-                              callback=trace.append)
+        per_batch = [_make_objective(circuit, names, cfg.loss, target_su, b)
+                     for b in batches]
+        best_x, best_f = adam(itertools.cycle(per_batch), x0, steps=steps,
+                              lr=cfg.lr, callback=trace.append)
     else:
         objective = _make_objective(circuit, names, cfg.loss, target_su, dataset)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 200 * dim
-        best_x, best_f = nelder_mead(objective, x0, max_iter=max_iter,
-                                     tol=cfg.tol, callback=trace.append)
-        for _ in range(cfg.restarts):
+        best_x, best_f = x0, math.inf
+        for _ in range(1 + cfg.restarts):
             if best_f <= cfg.target_loss:
                 break
-            # rebuilding the simplex at the incumbent undoes collapse; the
-            # start point sits in the new simplex, so this never loses ground
+            # each restart rebuilds the simplex at the incumbent, which undoes
+            # collapse; the start point sits in the new simplex, so a restart
+            # never loses ground
             x_cand, f_cand = nelder_mead(objective, best_x, max_iter=max_iter,
                                          tol=cfg.tol, callback=trace.append)
             if f_cand < best_f:

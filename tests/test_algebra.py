@@ -93,6 +93,35 @@ def test_rbb_embeds_the_previous_order(d):
         assert np.array_equal(_el(big, j), want), j
 
 
+def _conjugation_formula(d0, j):
+    """New off-diagonal element j of order d0 by the paper's formula,
+    P_(k,d0-1) (diag((-1)^l) + sigma) P_(k,d0-1), with P_(k,d0-1) the
+    identity with rows k and d0-1 swapped (1-based) and the blocks in the
+    order k = d0-1, 1, 2, ..., d0-2."""
+    offset = j - (d0 - 1) ** 2
+    sigma = SIGMA_1 if offset < d0 - 1 else SIGMA_2
+    k = ([d0 - 1] + list(range(1, d0 - 1)))[offset % (d0 - 1)]
+    core = np.zeros((d0, d0), dtype=complex)
+    core[: d0 - 2, : d0 - 2] = np.diag([(-1.0) ** l for l in range(d0 - 2)])
+    core[d0 - 2 :, d0 - 2 :] = sigma
+    p = np.eye(d0, dtype=complex)
+    p[[k - 1, d0 - 2]] = p[[d0 - 2, k - 1]]
+    return p @ core @ p
+
+
+@pytest.mark.parametrize("d", range(3, 17))
+def test_rbb_matches_the_conjugation_formula(d):
+    # the closed form writes each off-diagonal element directly; the matrix
+    # products it replaced stay here as its oracle, embedded with the
+    # corner signs (-1)^m at the 0-based positions m >= d0
+    b = build_rbb(d)
+    for d0 in range(3, d + 1):
+        for j in range((d0 - 1) ** 2, d0 * d0 - 1):
+            want = np.diag([(-1.0) ** m for m in range(d)]).astype(complex)
+            want[:d0, :d0] = _conjugation_formula(d0, j)
+            assert np.array_equal(_el(b, j), want), (d0, j)
+
+
 def test_building_a_basis_retains_no_memory(srbb_env):
     # elements are built in closed form, so a dropped basis leaves nothing
     # behind; a fresh interpreter keeps earlier tests from warming any cache

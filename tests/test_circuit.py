@@ -285,6 +285,25 @@ def test_json_rejects_params_that_differ_from_the_gates(params):
         from_json_dict({**doc, "params": params})
 
 
+_RZ_A = {"kind": "RZ", "qubits": [0], "param": "a"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "2", "gates": [], "params": {}},
+    {"n": True, "gates": [], "params": {}},
+    {"n": 0, "gates": [], "params": {}},
+    _one_gate_doc({"kind": "RZ", "qubits": [0], "param": True}),
+    {"n": 2, "gates": [_RZ_A], "params": [["a", 0.0]]},
+    {"n": 2, "gates": [{**_RZ_A, "qubits": 0}], "params": {"a": 0.0}},
+    {"n": 2, "gates": _RZ_A, "params": {"a": 0.0}},
+    {"n": 2, "gates": [["RZ", [0], "a"]], "params": {"a": 0.0}},
+], ids=["string-n", "bool-n", "zero-n", "bool-angle", "list-params",
+        "scalar-qubits", "scalar-gates", "list-gate"])
+def test_json_rejects_a_malformed_document(doc):
+    with pytest.raises(ValueError):
+        from_json_dict(doc)
+
+
 def test_qasm_output():
     circ = Circuit(2, [ry(0, 0.5), cnot(0, 1), rz(1, "t")])
     text = to_qasm(circ, {"t": 0.25})
