@@ -3,7 +3,8 @@
 A Circuit is an ordered list of Gates over n qubits.  Its free parameters
 are derived from the gates: the angle names in first-use order.  No angle
 values are stored; simulation and export take a name -> angle mapping, or
-None for every named angle at 0.0.  The gate set is exactly the layer's:
+None for every named angle at 0.0, and simulation also takes a vector of
+angles in free_parameters order.  The gate set is exactly the layer's:
 CNOT, RZ and RY; any other kind, a gate on the wrong number of qubits or on
 a non-integer qubit, a CNOT with an angle, or a rotation whose angle is
 neither a name nor a finite number (a bool is not one), is rejected when
@@ -20,11 +21,14 @@ Rotation conventions (these fix all circuit identities downstream):
 so a Z-string rotation exp(i theta Z...Z) is an RZ with phi = -2 theta
 conjugated by CNOTs.
 
-Simulation never materializes per-gate matrices: the state (or the column
-stack of a unitary under construction) is reshaped to one axis per qubit and
-gates act in place on axis slices: a CNOT swaps the two target slices of its
-control's |1> slice, and a rotation mixes or phases the two slices of its
-qubit.
+Simulation runs a plan that the first simulation of a circuit derives from
+its gates and keeps on it.  The gates split into maximal runs of two kinds: a
+CNOT/RZ run is a permutation of the basis states with a phase on each, and a
+run of RY on one qubit with CNOTs into that qubit is one RY per pattern of
+the controls followed by a controlled X.  Each run acts on the state (or the
+column stack of a unitary under construction) as one vectorised step.  A
+missing or non-finite angle, or an angle vector of the wrong shape, is a
+ValueError before any work is done.
 """
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# simulation kernels
+# angle binding
 
 
 def _resolve(circuit: Circuit, params) -> dict:
@@ -122,63 +126,191 @@ def _param_value(g: Gate, table: dict) -> float:
     return float(p)
 
 
-def _axis_views(arr: np.ndarray, q: int):
-    pre = (slice(None),) * q
-    return arr[pre + (0,)], arr[pre + (1,)]
-
-
-def _apply_gate(arr: np.ndarray, g: Gate, table: dict) -> None:
-    """Apply one gate in place; arr has one axis per qubit plus a trailing
-    axis that broadcasts."""
-    if g.kind == "CNOT":
-        c, t = g.qubits
-        view = arr[(slice(None),) * c + (1,)]
-        a0, a1 = _axis_views(view, t - 1 if t > c else t)
-        t0 = a0.copy()
-        a0[...] = a1
-        a1[...] = t0
-        return
-    a0, a1 = _axis_views(arr, g.qubits[0])
-    value = _param_value(g, table)
-    if g.kind == "RZ":
-        half = 0.5 * value
-        a0 *= complex(math.cos(half), -math.sin(half))
-        a1 *= complex(math.cos(half), math.sin(half))
+def _angle_vector(circuit: Circuit, params) -> np.ndarray:
+    """The named angles as a float vector in free_parameters order, from a
+    name -> angle mapping, None (all 0.0) or such a vector; every angle must
+    be finite."""
+    names = circuit.free_parameters
+    if params is None:
+        return np.zeros(len(names))
+    if hasattr(params, "keys"):
+        try:
+            x = np.array([params[name] for name in names], dtype=float)
+        except KeyError as e:
+            raise ValueError(f"missing parameter {e.args[0]!r}") from None
     else:
-        c, s = math.cos(0.5 * value), math.sin(0.5 * value)
-        t0 = a0.copy()
-        a0 *= c
-        a0 -= s * a1
-        a1 *= c
-        a1 += s * t0
+        x = np.asarray(params, dtype=float)
+        if x.shape != (len(names),):
+            raise ValueError(f"angle vector must have shape ({len(names)},) in "
+                             f"free_parameters order, got {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"parameter {names[k]!r} is {x[k]}, not a finite angle")
+    return x
 
 
-def _evolve(circuit: Circuit, params, cols: np.ndarray) -> None:
-    """Run the gates in place on cols, a (2^n, m) stack of column vectors."""
-    table = _resolve(circuit, params)
-    arr = cols.reshape((2,) * circuit.n + (cols.shape[1],))
-    for g in circuit.gates:
-        _apply_gate(arr, g, table)
+# ---------------------------------------------------------------------------
+# simulation plan
+
+
+class _Plan:
+    """A circuit as a few fused segments, each applied as one vectorised step.
+
+    Two kinds of maximal gate run are fused:
+
+    - a CNOT/RZ run is a phase polynomial (Amy, Maslov & Mosca,
+      arXiv:1303.2042): basis state |x> goes to exp(i phi(x)) |L x> with L
+      linear over GF(2).  Each RZ(theta_k) on a qubit that holds the parity
+      <m_k, x> adds -theta_k/2 * (-1)^<m_k, x> to phi.
+    - a run of RY on one target t and CNOTs into t is a uniformly controlled
+      rotation (Mottonen et al., quant-ph/0407010).  With the controls at
+      pattern x it is X^<f, x> RY(alpha(x)), where f is the XOR of all its
+      controls' bits and alpha(x) = sum_k (-1)^<f_k, x> theta_k, f_k being
+      the XOR of the controls before the k-th RY, since
+      RY(theta) X = X RY(-theta).
+
+    Either way a segment's half-angles are (1/2) H w, where w[m] sums the
+    angles that carry parity mask m and H[x, m] = (-1)^<m, x> is the
+    Walsh-Hadamard matrix; so one bincount and one matrix product bind all
+    angles of all segments.  H holds 4^n floats: half the bytes of a
+    unitary, and the bulk of the plan's memory.
+    """
+
+    def __init__(self, circuit: Circuit):
+        n = circuit.n
+        d = 1 << n
+        xs = np.arange(d)
+        self.walsh = np.ones((1, 1))
+        for _ in range(n):
+            self.walsh = np.kron([[1.0, 1.0], [1.0, -1.0]], self.walsh)
+        index = {name: k for k, name in enumerate(circuit.free_parameters)}
+        bit = [1 << (n - 1 - q) for q in range(n)]
+        # every rotation's segment, parity mask, and index into the named
+        # angles followed by the numeric ones
+        segs, rot_masks, idx, consts = [], [], [], []
+        runs: list[tuple[int | None, list[int]]] = []  # (RY target or None, masks)
+        for g in circuit.gates:
+            if g.kind == "RY":
+                target = g.qubits[0]
+            elif g.kind == "CNOT" and runs and runs[-1][0] == g.qubits[1]:
+                target = g.qubits[1]
+            else:
+                target = None
+            if not runs or runs[-1][0] != target:
+                # a CNOT/RZ run tracks every qubit's parity mask; an RY run
+                # tracks only the XOR f of the controls seen so far
+                runs.append((target, bit[:] if target is None else [0]))
+            masks = runs[-1][1]
+            if g.kind == "CNOT":
+                c, t = g.qubits
+                if target is None:
+                    masks[t] ^= masks[c]
+                else:
+                    masks[0] ^= bit[c]
+                continue
+            segs.append(len(runs) - 1)
+            rot_masks.append(masks[g.qubits[0]] if target is None else masks[0])
+            if isinstance(g.param, str):
+                idx.append(index[g.param])
+            else:
+                idx.append(len(index) + len(consts))
+                consts.append(float(g.param))
+        # the bincount slot of each rotation's angle
+        self.slots = np.array(segs, dtype=np.intp) * d + np.array(rot_masks, dtype=np.intp)
+        self.idx = np.array(idx, dtype=np.intp)
+        self.consts = np.array(consts)
+        rotating = set(segs)
+        odd = self.walsh < 0  # odd[x, m] = <m, x> mod 2
+        self.steps = []
+        phase_rows, ry_rows, pairs_of = [], [], {}
+        for s, (target, masks) in enumerate(runs):
+            if target is None:
+                # y[x] = L x, the state x ends in; gather by the inverse of L
+                y = sum(odd[:, m] * bit[q] for q, m in enumerate(masks))
+                inv = None
+                if not np.array_equal(y, xs):
+                    inv = np.empty(d, dtype=np.intp)
+                    inv[y] = xs
+                k = None
+                if s in rotating:
+                    k = len(phase_rows)
+                    phase_rows.append(s)
+                self.steps.append(("phase", k, inv))
+            else:
+                # the rows (lo, lo | t) of a pair differ in bit t only
+                if target not in pairs_of:
+                    lo = xs[(xs & bit[target]) == 0]
+                    pairs_of[target] = np.stack((lo, lo | bit[target]), axis=1)
+                pairs = pairs_of[target]
+                # after the rotation, X^<f, x> swaps the rows a pair lands in
+                flip = odd[pairs[:, :1], masks[0]]
+                src = np.empty(d, dtype=np.intp)
+                src[np.where(flip, pairs[:, ::-1], pairs).ravel()] = xs
+                self.steps.append(("ry", len(ry_rows), pairs, src))
+                ry_rows.append(s * d + pairs[:, 0])
+        self.phase_rows = np.array(phase_rows, dtype=np.intp)
+        self.ry_rows = np.array(ry_rows, dtype=np.intp).reshape(-1, d // 2)
+
+    def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """cols, a (2^n, m) stack of columns, after the circuit with angle
+        vector x.  cols is never written; a plan with no work returns it."""
+        if not self.steps:
+            return cols
+        d = len(self.walsh)
+        angles = np.concatenate((x, self.consts))[self.idx]
+        w = np.bincount(self.slots, weights=angles, minlength=len(self.steps) * d)
+        half = 0.5 * (w.reshape(-1, d) @ self.walsh)
+        phases = np.exp(-1j * half[self.phase_rows])[..., None]
+        ry_half = half.ravel()[self.ry_rows][..., None, None]
+        cos, sin = np.cos(ry_half), np.sin(ry_half)
+        # RY(a) on a pair (a0, a1): (c a0 - s a1, s a0 + c a1)
+        sin = np.concatenate((-sin, sin), axis=2)
+        for step in self.steps:
+            if step[0] == "phase":
+                _, k, inv = step
+                # the phase is a function of the state before the permutation
+                if k is not None:
+                    cols = cols * phases[k]
+                if inv is not None:
+                    cols = cols[inv]
+            else:
+                _, k, pairs, src = step
+                pair = cols[pairs]
+                new = pair * cos[k]
+                new += pair[:, ::-1] * sin[k]
+                cols = new.reshape(d, -1)[src]
+        return cols
+
+
+def _plan(circuit: Circuit) -> _Plan:
+    """The circuit's plan, built on its first simulation and kept on it."""
+    plan = circuit.__dict__.get("_plan")
+    if plan is None:
+        plan = _Plan(circuit)
+        object.__setattr__(circuit, "_plan", plan)
+    return plan
 
 
 def unitary_of(circuit: Circuit, params=None) -> np.ndarray:
     """Dense unitary of the circuit: product of gate matrices in application
-    order (the first gate acts first, i.e. sits rightmost in the product)."""
-    u = np.eye(2**circuit.n, dtype=complex)
-    _evolve(circuit, params, u)
-    return u
+    order (the first gate acts first, i.e. sits rightmost in the product).
+    params is a name -> angle mapping, None (every angle 0.0) or a vector of
+    angles in free_parameters order."""
+    x = _angle_vector(circuit, params)
+    return _plan(circuit).run(x, np.eye(2**circuit.n, dtype=complex))
 
 
 def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:
-    """Run the circuit on a state vector, gate by gate."""
-    state = np.asarray(state, dtype=complex)
+    """The circuit applied to a state vector, as a new array; params as for
+    unitary_of."""
     d = 2**circuit.n
-    if state.shape != (d,):
+    # a copy, so the result is never the caller's array
+    out = np.array(state, dtype=complex)
+    if out.shape != (d,):
         raise ValueError(f"state must have length {d}")
-    out = state.copy()
-    # a trailing singleton axis keeps every sub-view at least 1-D
-    _evolve(circuit, params, out.reshape(d, 1))
-    return out
+    x = _angle_vector(circuit, params)
+    return _plan(circuit).run(x, out.reshape(d, 1)).reshape(d)
 
 
 def sample(circuit: Circuit, params, state: np.ndarray, shots: int,

@@ -23,7 +23,8 @@ from .varopt import LOSSES, OPTIMIZERS, TrainConfig, _check_unitary, matrix_to_j
 
 @dataclass
 class RunManifest:
-    """Everything needed to regenerate a command's outputs."""
+    """Everything needed to regenerate a command's outputs, and the numpy and
+    Python versions it ran on, so a replay can tell it runs on another stack."""
 
     command: str
     n: int
@@ -31,6 +32,8 @@ class RunManifest:
     cfg: dict
     seed: int | None
     outputs: tuple[str, ...]
+    numpy: str = np.__version__
+    python: str = ".".join(map(str, sys.version_info[:3]))
 
 
 def _matrix_from_json(doc) -> np.ndarray:
@@ -109,8 +112,8 @@ def cmd_verify(args) -> int:
     if args.n < 2:
         print("error: n must be >= 2", file=sys.stderr)
         return 2
-    if args.suite in ("equivalence", "all") and args.n > 5:
-        print("error: equivalence suite is limited to n <= 5", file=sys.stderr)
+    if args.suite in ("equivalence", "all") and args.n > 6:
+        print("error: equivalence suite is limited to n <= 6", file=sys.stderr)
         return 2
     suites = {}
     if args.suite in ("basis", "all"):

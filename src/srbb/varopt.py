@@ -299,9 +299,10 @@ def _evolved_overlaps(u_circ: np.ndarray, states: np.ndarray,
     return np.abs(np.einsum("ij,ij->i", a.conj(), evolved)) ** 2
 
 
-def _make_objective(circuit: Circuit, names: tuple[str, ...], loss: str,
-                    target_su: np.ndarray, states: np.ndarray | None):
-    """Loss as a function of the flat parameter vector.
+def _make_objective(circuit: Circuit, loss: str, target_su: np.ndarray,
+                    states: np.ndarray | None):
+    """Loss as a function of the flat parameter vector, which binds the
+    circuit's angles in free_parameters order.
 
     For pure states the printed density formulas collapse to overlap
     expressions — trace distance 2 sqrt(1-F), fidelity loss 1-F with
@@ -309,14 +310,14 @@ def _make_objective(circuit: Circuit, names: tuple[str, ...], loss: str,
     """
     if loss == "frobenius":
         def objective(x):
-            u = unitary_of(circuit, dict(zip(names, x)))
+            u = unitary_of(circuit, x)
             return float(np.linalg.norm(u - target_su))
         return objective
 
     evolved = states @ target_su.T
 
     def objective(x):
-        u = unitary_of(circuit, dict(zip(names, x)))
+        u = unitary_of(circuit, x)
         ov = _evolved_overlaps(u, states, evolved)
         if loss == "trace":
             return float(np.mean(2.0 * np.sqrt(np.clip(1.0 - ov, 0.0, None))))
@@ -361,12 +362,12 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
         steps_per_epoch = math.ceil(cfg.dataset_size / cfg.batch)
         steps = cfg.epochs * steps_per_epoch
         batches = np.array_split(dataset, steps_per_epoch) if needs_states else [None]
-        per_batch = [_make_objective(circuit, names, cfg.loss, target_su, b)
+        per_batch = [_make_objective(circuit, cfg.loss, target_su, b)
                      for b in batches]
         best_x, best_f = adam(itertools.cycle(per_batch), x0, steps=steps,
                               lr=cfg.lr, callback=trace.append)
     else:
-        objective = _make_objective(circuit, names, cfg.loss, target_su, dataset)
+        objective = _make_objective(circuit, cfg.loss, target_su, dataset)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 200 * dim
         best_x, best_f = x0, math.inf
         for _ in range(1 + cfg.restarts):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gate_kernel
 from metrics import hellinger
 from srbb.circuit import (
     Circuit,
@@ -20,7 +23,7 @@ from srbb.circuit import (
     to_qasm,
     unitary_of,
 )
-from srbb.compiler import synthesize_circuit
+from srbb.compiler import naive_circuit, synthesize_circuit
 
 
 def _basis_state(n, index):
@@ -171,6 +174,95 @@ def test_apply_matches_unitary_on_random_circuits():
         direct = apply(circ, vals, state)
         assert np.abs(direct - unitary_of(circ, vals) @ state).max() < 1e-10
         assert abs(np.linalg.norm(direct) - 1.0) < 1e-10
+
+
+def _random_state(rng, n):
+    state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return state / np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("naive, n, layers",
+                         [(False, n, 1) for n in range(2, 6)]
+                         + [(True, n, 1) for n in range(2, 6)] + [(False, 3, 2)])
+def test_plan_matches_the_gate_kernel_on_layers(naive, n, layers):
+    circ = naive_circuit(n) if naive else synthesize_circuit(n, layers=layers)
+    rng = np.random.default_rng([n, layers, naive])
+    x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
+    vals = dict(zip(circ.free_parameters, x))
+    u = unitary_of(circ, x)
+    assert np.abs(u - gate_kernel.unitary(circ, vals)).max() < 1e-12
+    assert np.array_equal(u, unitary_of(circ, vals))
+    state = _random_state(rng, n)
+    want = gate_kernel.apply(circ, vals, state)
+    got = apply(circ, x, state)
+    assert np.abs(got - want).max() < 1e-12
+    # the probabilities sample draws from
+    assert np.abs(np.abs(got) ** 2 - np.abs(want) ** 2).max() < 1e-12
+
+
+@st.composite
+def _gate_lists(draw):
+    n = draw(st.integers(1, 4))
+    kinds = ("RZ", "RY", "CNOT") if n > 1 else ("RZ", "RY")
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CNOT":
+            c, t = draw(st.permutations(range(n)))[:2]
+            gates.append(cnot(c, t))
+        else:
+            # few names, so names repeat; numeric angles are constants
+            angle = draw(st.sampled_from(("a", "b", "c")) | st.floats(-4.0, 4.0))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gate_lists(), st.integers(0, 2**32 - 1))
+@example(Circuit(1, ()), 0)
+@example(Circuit(2, [ry(1, "a"), cnot(0, 1), rz(1, "b"), ry(1, "a"), cnot(0, 1)]), 1)
+@example(Circuit(3, [ry(2, "a"), cnot(0, 2), cnot(2, 1), ry(2, 0.3), cnot(1, 2),
+                     ry(2, "b"), cnot(0, 2)]), 2)
+def test_plan_matches_the_gate_kernel(circ, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
+    vals = dict(zip(circ.free_parameters, x))
+    assert np.abs(unitary_of(circ, x) - gate_kernel.unitary(circ, vals)).max() < 1e-12
+    state = _random_state(rng, circ.n)
+    assert np.abs(apply(circ, x, state) - gate_kernel.apply(circ, vals, state)).max() < 1e-12
+
+
+@pytest.mark.parametrize("circ", [
+    Circuit(2, ()),
+    Circuit(2, [cnot(0, 1)]),
+    Circuit(2, [cnot(0, 1), cnot(0, 1)]),
+], ids=["empty", "cnot", "cnot-pair"])
+def test_apply_returns_a_fresh_array(circ):
+    state = np.array([0.5, 0.5j, -0.5, 0.5])
+    before = state.copy()
+    out = apply(circ, None, state)
+    assert not np.shares_memory(out, state)
+    assert np.array_equal(state, before)
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"a": math.nan, "b": 0.1}, "'a'"),
+    ({"a": math.inf, "b": 0.1}, "'a'"),
+    ({"a": 0.1, "b": -math.inf}, "'b'"),
+    (np.array([0.1, math.nan]), "'b'"),
+    (np.array([0.1]), "shape"),
+    (np.zeros((1, 2)), "shape"),
+    ({"a": 0.1}, "missing parameter 'b'"),
+], ids=["nan", "inf", "minus-inf", "vector-nan", "vector-length", "vector-rank", "missing"])
+def test_angles_are_checked_at_the_edge(params, match):
+    circ = Circuit(2, [rz(0, "a"), cnot(0, 1), ry(1, "b")])
+    state = _basis_state(2, 0)
+    with pytest.raises(ValueError, match=match):
+        unitary_of(circ, params)
+    with pytest.raises(ValueError, match=match):
+        apply(circ, params, state)
+    with pytest.raises(ValueError, match=match):
+        sample(circ, params, state, 10, seed=0)
 
 
 def test_apply_rejects_wrong_length():

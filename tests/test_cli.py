@@ -6,6 +6,7 @@ exercised exactly as a shell user sees them.  Exit-code contract:
 """
 
 import json
+import platform
 import re
 import shutil
 import subprocess
@@ -160,10 +161,16 @@ def test_verify_n2_checks_the_naive_oracle(capsys):
     assert suites["equivalence"]["max_frobenius"] < 1e-10
 
 
-def test_verify_equivalence_capped_at_n5(capsys):
-    code, _, err = run_cli(capsys, "verify", "-n", "6", "--suite", "equivalence")
+def test_verify_equivalence_capped_at_n6(capsys):
+    code, _, err = run_cli(capsys, "verify", "-n", "7", "--suite", "equivalence")
     assert code == 2
-    assert "n <= 5" in err
+    assert "n <= 6" in err
+
+
+def test_verify_equivalence_n6_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "-n", "6", "--suite", "equivalence")
+    assert code == 0
+    assert json.loads(out)["suites"]["equivalence"]["max_frobenius"] < 1e-10
 
 
 def test_verify_rejects_n1(capsys):
@@ -257,6 +264,8 @@ def test_synthesize_out_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["outputs"] == [str(out_path)]
     assert manifest["cfg"]["optimizer"] == "nm"
     assert manifest["cfg"]["max_iter"] == 300
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
 
 
 def test_synthesize_reports_reproduce(tmp_path, capsys):

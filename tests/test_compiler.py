@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+import gate_kernel
+
 from srbb.algebra import element_exponential, grouping, srbb_element, transposition_matrix
 from srbb.circuit import Circuit, cancel_cnot_pairs, unitary_of
 from srbb.compiler import (
@@ -393,6 +395,17 @@ def test_reduced_equals_naive_n3():
         vals = _rand_values(reduced, rng)
         diff = unitary_of(reduced, vals) - unitary_of(naive, vals)
         assert np.abs(diff).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reduced_equals_naive_gate_by_gate(n):
+    # the CNOT reduction checked without the fused plan, whose segments are
+    # identical for the two layers
+    rng = np.random.default_rng(n)
+    reduced, naive = synthesize_circuit(n), naive_circuit(n)
+    vals = _rand_values(reduced, rng)
+    diff = gate_kernel.unitary(reduced, vals) - gate_kernel.unitary(naive, vals)
+    assert np.abs(diff).max() < 1e-10
 
 
 def _wrapped_chain(n, parity, block, prefix):

@@ -91,8 +91,8 @@ def test_overlap_losses_match_the_density_matrix_oracle(name, n):
              for a, b in zip(states @ u.T, states @ target.T)]
     want_trace = np.mean([trace_distance(r, s) for r, s in pairs])
     want_fid = np.mean([1.0 - fidelity(r, s) for r, s in pairs])
-    got_trace = _make_objective(circuit, names, "trace", target, states)(x)
-    got_fid = _make_objective(circuit, names, "fidelity", target, states)(x)
+    got_trace = _make_objective(circuit, "trace", target, states)(x)
+    got_fid = _make_objective(circuit, "fidelity", target, states)(x)
     assert abs(got_trace - want_trace) < 1e-12
     # the eigendecomposition route loses digits, as in the closed-form test
     assert abs(got_fid - want_fid) < 1e-6
