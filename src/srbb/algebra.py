@@ -100,12 +100,21 @@ def _rbb_element(d: int, j: int) -> np.ndarray:
     return out
 
 
+def _build_basis(d: int, element) -> Basis:
+    """The order-d basis of element(j), j = 1..d^2, written into one
+    (d^2, d, d) array whose rows the elements view."""
+    stack = np.empty((d * d, d, d), dtype=complex)
+    for j, out in enumerate(stack, start=1):
+        out[...] = element(j)
+    return Basis(order=d, elements=tuple(BasisElement(j, m)
+                                         for j, m in enumerate(stack, start=1)))
+
+
 def build_rbb(d: int) -> Basis:
     """Recursive block basis of order d (d >= 2)."""
     if d < 2:
         raise ValueError("basis order must be >= 2")
-    elems = tuple(BasisElement(j, _rbb_element(d, j)) for j in range(1, d * d + 1))
-    return Basis(order=d, elements=elems)
+    return _build_basis(d, lambda j: _rbb_element(d, j))
 
 
 def z_string(n: int, ordinal: int) -> np.ndarray:
@@ -134,9 +143,7 @@ def build_srbb(n: int) -> Basis:
     """SRBB of order 2^n: the RBB with its diagonals replaced by Z-strings."""
     if n < 1:
         raise ValueError("qubit count must be >= 1")
-    d = 2**n
-    elems = tuple(BasisElement(j, srbb_element(n, j)) for j in range(1, d * d + 1))
-    return Basis(order=d, elements=elems)
+    return _build_basis(2**n, lambda j: srbb_element(n, j))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 A Circuit is an ordered list of Gates over n qubits.  Its free parameters
 are derived from the gates: the angle names in first-use order.  No angle
-values are stored; simulation and export take a name -> angle mapping, or
-None for every named angle at 0.0, and simulation also takes a vector of
-angles in free_parameters order.  The gate set is exactly the layer's:
-CNOT, RZ and RY; any other kind, a gate on the wrong number of qubits or on
-a non-integer qubit, a CNOT with an angle, or a rotation whose angle is
-neither a name nor a finite number (a bool is not one), is rejected when
-the Gate is built, and a Circuit needs an integer n >= 1.
+values are stored; simulation and QASM export take a name -> angle mapping,
+None for every named angle at 0.0, or a vector of angles in free_parameters
+order.  The gate set is exactly the layer's: CNOT, RZ and RY; any other
+kind, a gate on the wrong number of qubits or on a non-integer qubit, a CNOT
+with an angle, or a rotation whose angle is neither a name nor a finite
+number (a bool is not one), is rejected when the Gate is built, and a
+Circuit needs an integer n >= 1.
 Qubit 0 is the most significant bit of a state index, so
 |0...0> = (1, 0, ..., 0)^T, and the leftmost gate of a diagram is the first
 one applied to the state.
@@ -25,10 +25,11 @@ Simulation runs a plan that the first simulation of a circuit derives from
 its gates and keeps on it.  The gates split into maximal runs of two kinds: a
 CNOT/RZ run is a permutation of the basis states with a phase on each, and a
 run of RY on one qubit with CNOTs into that qubit is one RY per pattern of
-the controls followed by a controlled X.  Each run acts on the state (or the
-column stack of a unitary under construction) as one vectorised step.  A
-missing or non-finite angle, or an angle vector of the wrong shape, is a
-ValueError before any work is done.
+the controls followed by a controlled X.  Each RY run is one vectorised step
+on the state (or the column stack of a unitary under construction) that
+takes row r to A[r] cols[a[r]] + B[r] cols[b[r]], and each CNOT/RZ run folds
+into the step beside it.  A missing or non-finite angle, or an angle vector
+of the wrong shape, is a ValueError before any work is done.
 """
 from __future__ import annotations
 
@@ -111,21 +112,6 @@ class Circuit:
 # angle binding
 
 
-def _resolve(circuit: Circuit, params) -> dict:
-    """params as a name -> angle mapping; None sets every named angle to 0.0."""
-    return dict.fromkeys(circuit.free_parameters, 0.0) if params is None else params
-
-
-def _param_value(g: Gate, table: dict) -> float:
-    p = g.param
-    if isinstance(p, str):
-        try:
-            return table[p]
-        except KeyError:
-            raise ValueError(f"missing parameter {p!r}") from None
-    return float(p)
-
-
 def _angle_vector(circuit: Circuit, params) -> np.ndarray:
     """The named angles as a float vector in free_parameters order, from a
     name -> angle mapping, None (all 0.0) or such a vector; every angle must
@@ -154,8 +140,15 @@ def _angle_vector(circuit: Circuit, params) -> np.ndarray:
 # simulation plan
 
 
+def _parity(v: np.ndarray) -> np.ndarray:
+    """popcount(v) mod 2 of each integer 0 <= v < 2^64, by folding halves."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
 class _Plan:
-    """A circuit as a few fused segments, each applied as one vectorised step.
+    """A circuit as a few fused steps of one shape.
 
     Two kinds of maximal gate run are fused:
 
@@ -170,23 +163,32 @@ class _Plan:
       the XOR of the controls before the k-th RY, since
       RY(theta) X = X RY(-theta).
 
-    Either way a segment's half-angles are (1/2) H w, where w[m] sums the
-    angles that carry parity mask m and H[x, m] = (-1)^<m, x> is the
-    Walsh-Hadamard matrix; so one bincount and one matrix product bind all
-    angles of all segments.  H holds 4^n floats: half the bytes of a
-    unitary, and the bulk of the plan's memory.
+    Either way a run's half-angles are (1/2) W H, where W[s, m] sums the
+    angles of run s that carry parity mask m and H[m, x] = (-1)^<m, x> is
+    the Walsh-Hadamard matrix; so one bincount and one matrix product bind
+    all angles of all runs.  H keeps only the rows of the masks that occur,
+    so the plan grows with the circuit rather than with 4^n.
+
+    Every step takes row r of the column stack to
+    A[r] cols[a[r]] + B[r] cols[b[r]].  For an RY run, a[r] is the row whose
+    rotated amplitude X^<f, x> moves to r, b = a ^ t its partner, and
+    A, B = cos, -+sin of the pair's half-angle (minus when a has bit t
+    clear).  A CNOT/RZ run, a phase and a gather by L^-1, folds into the RY
+    step after it: a and b are gathered through L^-1 and A and B take the
+    phases at the new sources.  One that ends the circuit folds into the
+    step before it: every row is gathered through L^-1 and takes the phase
+    of its output row.  A circuit without RY is one step with B = 0.  A
+    and B are products of cos, sin and exp(-i .) of gathered half-angles,
+    among which an appended 0 stands for "no rotation" and "no phase".
     """
 
     def __init__(self, circuit: Circuit):
         n = circuit.n
         d = 1 << n
         xs = np.arange(d)
-        self.walsh = np.ones((1, 1))
-        for _ in range(n):
-            self.walsh = np.kron([[1.0, 1.0], [1.0, -1.0]], self.walsh)
         index = {name: k for k, name in enumerate(circuit.free_parameters)}
         bit = [1 << (n - 1 - q) for q in range(n)]
-        # every rotation's segment, parity mask, and index into the named
+        # every rotation's run, parity mask, and index into the named
         # angles followed by the numeric ones
         segs, rot_masks, idx, consts = [], [], [], []
         runs: list[tuple[int | None, list[int]]] = []  # (RY target or None, masks)
@@ -216,70 +218,62 @@ class _Plan:
             else:
                 idx.append(len(index) + len(consts))
                 consts.append(float(g.param))
-        # the bincount slot of each rotation's angle
-        self.slots = np.array(segs, dtype=np.intp) * d + np.array(rot_masks, dtype=np.intp)
+        # the bincount slot of each rotation's angle: its run and its mask
+        # among the masks in use
+        used, which = np.unique(np.array(rot_masks, dtype=np.intp), return_inverse=True)
+        self.walsh = 1.0 - 2.0 * _parity(used[:, None] & xs)
+        self.slots = np.array(segs, dtype=np.intp) * len(used) + which
         self.idx = np.array(idx, dtype=np.intp)
         self.consts = np.array(consts)
-        rotating = set(segs)
-        odd = self.walsh < 0  # odd[x, m] = <m, x> mod 2
-        self.steps = []
-        phase_rows, ry_rows, pairs_of = [], [], {}
+        self.runs = len(runs)
+        # a step: its sources (a, b) row by row, the sign of the sine in B,
+        # and the half-angles it reads: the rotation's, the phases at a and
+        # at b, and the phase on the output row, as indices into the runs'
+        # half-angles followed by one 0
+        zero = len(runs) * d
+        steps = []
+        lead = None  # a CNOT/RZ run not folded yet: L^-1, and its phase at each row
         for s, (target, masks) in enumerate(runs):
             if target is None:
-                # y[x] = L x, the state x ends in; gather by the inverse of L
-                y = sum(odd[:, m] * bit[q] for q, m in enumerate(masks))
-                inv = None
-                if not np.array_equal(y, xs):
-                    inv = np.empty(d, dtype=np.intp)
-                    inv[y] = xs
-                k = None
-                if s in rotating:
-                    k = len(phase_rows)
-                    phase_rows.append(s)
-                self.steps.append(("phase", k, inv))
-            else:
-                # the rows (lo, lo | t) of a pair differ in bit t only
-                if target not in pairs_of:
-                    lo = xs[(xs & bit[target]) == 0]
-                    pairs_of[target] = np.stack((lo, lo | bit[target]), axis=1)
-                pairs = pairs_of[target]
-                # after the rotation, X^<f, x> swaps the rows a pair lands in
-                flip = odd[pairs[:, :1], masks[0]]
-                src = np.empty(d, dtype=np.intp)
-                src[np.where(flip, pairs[:, ::-1], pairs).ravel()] = xs
-                self.steps.append(("ry", len(ry_rows), pairs, src))
-                ry_rows.append(s * d + pairs[:, 0])
-        self.phase_rows = np.array(phase_rows, dtype=np.intp)
-        self.ry_rows = np.array(ry_rows, dtype=np.intp).reshape(-1, d // 2)
+                y = bit @ _parity(np.array(masks)[:, None] & xs)  # y[x] = L x
+                inv = np.empty(d, dtype=np.intp)
+                inv[y] = xs
+                lead = inv, s * d + inv
+                continue
+            t = bit[target]
+            # X^<f, r> moves the rotated row a to row r; f holds no bit t
+            a = xs ^ (t * _parity(masks[0] & xs))
+            ab, reads = np.stack((a, a ^ t)), np.full((4, d), zero)
+            reads[0] = s * d + (xs & ~t)
+            if lead is not None:
+                inv, phase = lead
+                ab, reads[1:3], lead = inv[ab], phase[ab], None
+            steps.append((ab, np.where(a & t, 1.0, -1.0), reads))
+        if not steps:
+            steps.append((np.stack((xs, xs)), np.ones(d), np.full((4, d), zero)))
+        if lead is not None:
+            inv, phase = lead
+            ab, sign, reads = (field[..., inv] for field in steps[-1])
+            reads[3] = phase
+            steps[-1] = ab, sign, reads
+        self.sources, self.sign, reads = map(np.array, zip(*steps))
+        # run takes cos and sin of each half-angle the steps read once
+        self.reads, at = np.unique(reads, return_inverse=True)
+        self.at = at.reshape(reads.shape)
 
     def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """cols, a (2^n, m) stack of columns, after the circuit with angle
-        vector x.  cols is never written; a plan with no work returns it."""
-        if not self.steps:
-            return cols
-        d = len(self.walsh)
+        vector x, as a new array."""
         angles = np.concatenate((x, self.consts))[self.idx]
-        w = np.bincount(self.slots, weights=angles, minlength=len(self.steps) * d)
-        half = 0.5 * (w.reshape(-1, d) @ self.walsh)
-        phases = np.exp(-1j * half[self.phase_rows])[..., None]
-        ry_half = half.ravel()[self.ry_rows][..., None, None]
-        cos, sin = np.cos(ry_half), np.sin(ry_half)
-        # RY(a) on a pair (a0, a1): (c a0 - s a1, s a0 + c a1)
-        sin = np.concatenate((-sin, sin), axis=2)
-        for step in self.steps:
-            if step[0] == "phase":
-                _, k, inv = step
-                # the phase is a function of the state before the permutation
-                if k is not None:
-                    cols = cols * phases[k]
-                if inv is not None:
-                    cols = cols[inv]
-            else:
-                _, k, pairs, src = step
-                pair = cols[pairs]
-                new = pair * cos[k]
-                new += pair[:, ::-1] * sin[k]
-                cols = new.reshape(d, -1)[src]
+        w = np.bincount(self.slots, weights=angles, minlength=self.runs * len(self.walsh))
+        half = np.append(0.5 * (w.reshape(self.runs, len(self.walsh)) @ self.walsh), 0.0)
+        cos, sin = np.cos(half[self.reads]), np.sin(half[self.reads])
+        phase = cos - 1j * sin  # exp(-i half)
+        at = self.at
+        coef = (np.stack((cos[at[:, 0]], self.sign * sin[at[:, 0]]), axis=1)
+                * phase[at[:, 1:3]] * phase[at[:, 3:]])
+        for ab, c in zip(self.sources, coef[..., None]):
+            cols = (c * cols[ab]).sum(axis=0)
         return cols
 
 
@@ -305,12 +299,11 @@ def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:
     """The circuit applied to a state vector, as a new array; params as for
     unitary_of."""
     d = 2**circuit.n
-    # a copy, so the result is never the caller's array
-    out = np.array(state, dtype=complex)
-    if out.shape != (d,):
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (d,):
         raise ValueError(f"state must have length {d}")
     x = _angle_vector(circuit, params)
-    return _plan(circuit).run(x, out.reshape(d, 1)).reshape(d)
+    return _plan(circuit).run(x, state.reshape(d, 1)).reshape(d)
 
 
 def sample(circuit: Circuit, params, state: np.ndarray, shots: int,
@@ -361,7 +354,8 @@ def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
 def to_json_dict(circuit: Circuit) -> dict:
     gates = [{"kind": g.kind, "qubits": list(g.qubits), "param": g.param}
              for g in circuit.gates]
-    return {"n": circuit.n, "gates": gates, "params": _resolve(circuit, None)}
+    return {"n": circuit.n, "gates": gates,
+            "params": dict.fromkeys(circuit.free_parameters, 0.0)}
 
 
 def from_json_dict(doc: dict) -> Circuit:
@@ -375,18 +369,21 @@ def from_json_dict(doc: dict) -> Circuit:
     gates = tuple(Gate(entry["kind"], tuple(entry["qubits"]), entry.get("param"))
                   for entry in doc["gates"])
     circuit = Circuit(doc["n"], gates)
-    if list(doc.get("params", {}).items()) != list(_resolve(circuit, None).items()):
+    zeros = dict.fromkeys(circuit.free_parameters, 0.0)
+    if list(doc.get("params", {}).items()) != list(zeros.items()):
         raise ValueError("params must name the gates' angles in first-use order, each at 0.0")
     return circuit
 
 
 def to_qasm(circuit: Circuit, params=None) -> str:
-    """OpenQASM 2.0 text with parameters substituted numerically."""
-    table = _resolve(circuit, params)
+    """OpenQASM 2.0 text with the angles substituted numerically; params as
+    for unitary_of."""
+    named = dict(zip(circuit.free_parameters, _angle_vector(circuit, params)))
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.n}];"]
     for g in circuit.gates:
         if g.kind == "CNOT":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         else:
-            lines.append(f"{g.kind.lower()}({_param_value(g, table)!r}) q[{g.qubits[0]}];")
+            angle = float(named[g.param] if isinstance(g.param, str) else g.param)
+            lines.append(f"{g.kind.lower()}({angle!r}) q[{g.qubits[0]}];")
     return "\n".join(lines) + "\n"

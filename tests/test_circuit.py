@@ -1,6 +1,7 @@
 """Gate IR, dense simulation, sampling, peephole pass, serialization."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from metrics import hellinger
 from srbb.circuit import (
     Circuit,
     Gate,
+    _plan,
     apply,
     cancel_cnot_pairs,
     cnot,
@@ -223,6 +225,12 @@ def _gate_lists(draw):
 @example(Circuit(2, [ry(1, "a"), cnot(0, 1), rz(1, "b"), ry(1, "a"), cnot(0, 1)]), 1)
 @example(Circuit(3, [ry(2, "a"), cnot(0, 2), cnot(2, 1), ry(2, 0.3), cnot(1, 2),
                      ry(2, "b"), cnot(0, 2)]), 2)
+@example(Circuit(3, [rz(0, "a"), cnot(0, 2), cnot(2, 1), rz(1, "b"), cnot(1, 0)]), 3)
+@example(Circuit(1, [ry(0, "a"), ry(0, 0.4)]), 4)
+@example(Circuit(2, [ry(1, "a"), cnot(0, 1), ry(1, "b"), rz(0, "c"), cnot(1, 0), rz(0, "a")]), 5)
+@example(Circuit(3, [rz(2, "a"), cnot(0, 2), ry(2, "b"), cnot(1, 2), cnot(2, 0), rz(0, "c"),
+                     cnot(0, 1)]), 6)
+@example(Circuit(3, [ry(0, "a"), cnot(1, 0), ry(1, "b"), cnot(2, 1), ry(1, 0.5), cnot(0, 1)]), 7)
 def test_plan_matches_the_gate_kernel(circ, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
@@ -230,6 +238,51 @@ def test_plan_matches_the_gate_kernel(circ, seed):
     assert np.abs(unitary_of(circ, x) - gate_kernel.unitary(circ, vals)).max() < 1e-12
     state = _random_state(rng, circ.n)
     assert np.abs(apply(circ, x, state) - gate_kernel.apply(circ, vals, state)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_layer_runs_one_step_per_ry_run(n):
+    # every CNOT/RZ run folds into an RY step beside it
+    assert len(_plan(synthesize_circuit(n)).sources) == 2**n - 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_angles_that_share_a_slot_enter_only_through_their_sum(n):
+    # rotations in one (run, parity mask) slot of the plan add their angles,
+    # so moving each slot's total onto its first angle keeps the unitary;
+    # the gate kernel, which knows no slots, must agree
+    circ = synthesize_circuit(n)
+    plan = _plan(circ)
+    assert sorted(plan.idx) == list(range(len(circ.free_parameters)))  # one gate an angle
+    x = np.random.default_rng(n).uniform(-np.pi, np.pi, len(circ.free_parameters))
+    moved = x.copy()
+    shared = 0
+    for slot in np.unique(plan.slots):
+        ks = plan.idx[plan.slots == slot]
+        if len(ks) > 1:
+            shared += len(ks) - 1
+            moved[ks] = 0.0
+            moved[ks[0]] = x[ks].sum()
+    assert shared == {2: 4, 3: 28, 4: 134}[n]
+    assert np.abs(unitary_of(circ, moved) - unitary_of(circ, x)).max() < 1e-13
+    named = dict(zip(circ.free_parameters, moved))
+    assert np.abs(gate_kernel.unitary(circ, named) - unitary_of(circ, x)).max() < 1e-13
+
+
+def test_a_wide_shallow_plan_grows_with_the_circuit():
+    # the plan keeps the Walsh-Hadamard rows of the masks in use only: at
+    # n = 12 the full matrix alone would be 128 MB
+    circ = Circuit(12, [rz(0, "a"), cnot(0, 1), rz(1, "b")])
+    vals = {"a": 0.3, "b": -1.1}
+    state = _random_state(np.random.default_rng(12), 12)
+    tracemalloc.start()
+    try:
+        got = apply(circ, vals, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(got - gate_kernel.apply(circ, vals, state)).max() < 1e-12
 
 
 @pytest.mark.parametrize("circ", [
@@ -263,6 +316,8 @@ def test_angles_are_checked_at_the_edge(params, match):
         apply(circ, params, state)
     with pytest.raises(ValueError, match=match):
         sample(circ, params, state, 10, seed=0)
+    with pytest.raises(ValueError, match=match):
+        to_qasm(circ, params)
 
 
 def test_apply_rejects_wrong_length():
@@ -406,4 +461,5 @@ def test_qasm_output():
     assert lines[3] == "ry(0.5) q[0];"
     assert lines[4] == "cx q[0],q[1];"
     assert lines[5] == "rz(0.25) q[1];"
-
+    # a vector in free_parameters order binds as in simulation
+    assert to_qasm(circ, np.array([0.25])) == text
