@@ -45,9 +45,6 @@ class Basis:
     order: int
     elements: tuple[BasisElement, ...]
 
-    def __post_init__(self):
-        assert len(self.elements) == self.order**2
-
 
 def diagonal_positions(d: int) -> list[int]:
     """Positions of the diagonal elements: {m^2 - 1 : 2 <= m <= d} plus d^2."""
@@ -174,8 +171,9 @@ class PropertyReport:
         return not self.failures
 
 
-def check_basis_properties(basis: Basis, tol: float = 1e-12) -> PropertyReport:
+def check_basis_properties(basis: Basis) -> PropertyReport:
     """Verify the defining properties of an RBB/SRBB basis."""
+    tol = 1e-12
     d = basis.order
     failures: list[str] = []
     dev = {"trace": 0.0, "involution": 0.0, "hermitian": 0.0, "identity_last": 0.0}
@@ -322,45 +320,8 @@ def transposition_matrix(alpha: int, beta: int, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# brute-force approximating operator
+# exponential of one basis element
 
 def element_exponential(theta: float, u: np.ndarray) -> np.ndarray:
     """exp(i*theta*U) for an involution U, via cos(theta)I + i sin(theta)U."""
     return np.cos(theta) * np.eye(u.shape[0]) + 1j * np.sin(theta) * u
-
-
-def exact_unitary(n: int, theta: np.ndarray) -> np.ndarray:
-    """Single-layer approximating operator Z * Psi * Phi from first principles.
-
-    theta is indexed by basis position: theta[j-1] multiplies element j.
-    Factor products run in grouping order (pairs by m, quads by x then by
-    increasing first state, h/f alternating within each quad).
-    """
-    theta = np.asarray(theta, dtype=float)
-    d = 2**n
-    if theta.shape != (d * d - 1,):
-        raise ValueError(f"theta must have length {d * d - 1}")
-    g = grouping(n)
-
-    def expo(j: int) -> np.ndarray:
-        return element_exponential(theta[j - 1], srbb_element(n, j))
-
-    z = np.eye(d, dtype=complex)
-    for j in g.z_indices:
-        z = z @ expo(j)
-
-    psi = np.eye(d, dtype=complex)
-    for j1, j2 in g.psi_a_pairs:
-        psi = psi @ expo(j1) @ expo(j2)
-    for x in sorted(g.psi_b_quads):
-        for quad in g.psi_b_quads[x]:
-            for j in quad:
-                psi = psi @ expo(j)
-
-    phi = np.eye(d, dtype=complex)
-    for x in sorted(g.phi_quads):
-        for quad in g.phi_quads[x]:
-            for j in quad:
-                phi = phi @ expo(j)
-
-    return z @ psi @ phi

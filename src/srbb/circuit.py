@@ -272,8 +272,17 @@ class _Plan:
         at = self.at
         coef = (np.stack((cos[at[:, 0]], self.sign * sin[at[:, 0]]), axis=1)
                 * phase[at[:, 1:3]] * phase[at[:, 3:]])
-        for ab, c in zip(self.sources, coef[..., None]):
-            cols = (c * cols[ab]).sum(axis=0)
+        # the steps gather into one buffer and write into two in turn, all
+        # made once per call: temporaries made afresh at each step page-fault
+        # whenever the allocator hands them back to the system, which turns on
+        # where the heap happens to place them.  The sources are in range, so
+        # "clip" never clips; it lets take write into its out unbuffered.
+        gathered = np.empty((2,) + cols.shape, dtype=complex)
+        out = np.empty_like(cols), np.empty_like(cols)
+        for k, (ab, c) in enumerate(zip(self.sources, coef[..., None])):
+            cols.take(ab, axis=0, out=gathered, mode="clip")
+            np.multiply(c, gathered, out=gathered)
+            cols = np.add(gathered[0], gathered[1], out=out[k % 2])
         return cols
 
 
@@ -307,15 +316,14 @@ def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:
 
 
 def sample(circuit: Circuit, params, state: np.ndarray, shots: int,
-           seed: int | np.random.Generator) -> np.ndarray:
+           seed: int) -> np.ndarray:
     """Multinomial shot histogram over the 2^n basis states."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     amp = apply(circuit, params, state)
     probs = np.abs(amp) ** 2
     probs /= probs.sum()
-    return rng.multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 # ---------------------------------------------------------------------------

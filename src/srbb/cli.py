@@ -51,13 +51,7 @@ def _matrix_from_json(doc) -> np.ndarray:
 
 
 def cmd_compile(args) -> int:
-    if args.naive:
-        if args.layers != 1:
-            print("error: --naive emits one layer; --layers must be 1", file=sys.stderr)
-            return 2
-        circuit = naive_circuit(args.n)
-    else:
-        circuit = synthesize_circuit(args.n, layers=args.layers)
+    circuit = naive_circuit(args.n) if args.naive else synthesize_circuit(args.n)
     tally = count_from_circuit(circuit)
     if args.qasm:
         with open(args.qasm, "w") as fh:
@@ -70,7 +64,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    print(json.dumps(gate_counts(args.n).to_json_dict()))
+    print(json.dumps(asdict(gate_counts(args.n))))
     return 0
 
 
@@ -91,13 +85,14 @@ def _verify_counts(n: int) -> dict:
     red_ok = naive.n_cnot - formula.n_cnot == formula.cnot_reduction
     return {
         "pass": ok and red_ok,
-        "formula": formula.to_json_dict(),
+        "formula": asdict(formula),
         "tally": {"n_cnot": tally.n_cnot, "n_rot": tally.n_rot},
         "naive_cnot": naive.n_cnot,
     }
 
 
-def _verify_equivalence(n: int, seed: int, draws: int = 5) -> dict:
+def _verify_equivalence(n: int, seed: int) -> dict:
+    draws = 5
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     reduced, naive = synthesize_circuit(n), naive_circuit(n)
     worst = 0.0
@@ -201,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="emit the layer circuit and its gate counts")
     c.add_argument("-n", type=int, required=True)
-    c.add_argument("--layers", type=int, default=1)
     c.add_argument("--naive", action="store_true",
                    help="emit the unsimplified layout instead")
     c.add_argument("--qasm", metavar="PATH", help="write OpenQASM 2.0")

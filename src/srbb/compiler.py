@@ -14,10 +14,18 @@ diagonal factor; the naive circuit is the same chains followed by an
 unreduced diagonal factor.  Free parameters are named `phi/x/slot`,
 `psi/x/slot`, `psi/a/slot`, `z/j` — identical between the reduced and naive
 circuits so both accept the same assignment.
+
+Once the peephole pass drops the transposition CNOTs between two blocks,
+the closing RZs of one and the opening RZs of the next share parities, so
+the simulation plan binds each such pair to one angle slot: only their sum
+matters.  Every seam does this; at n = 3: Phi to Phi (`phi/3/12`+`phi/2/4`),
+Phi to Psi (`phi/1/12`+`psi/3/2`), Psi to `psi/a` (`psi/1/9`+`psi/a/1`) and
+`psi/a` to Z (`psi/a/9`+`z/3`).  The layer keeps 17/81/339/1383/5583 slots
+for its 21/109/473/1969/8033 angles at n = 2..6, above 4^n - 1.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .algebra import _k_of
 from .circuit import Circuit, Gate, cancel_cnot_pairs, cnot, rz
@@ -45,9 +53,6 @@ class GateCounts:
     n_cnot: int
     n_rot: int
     cnot_reduction: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def gate_counts(n: int) -> GateCounts:
@@ -210,23 +215,12 @@ def _even_chain(n: int) -> list[Gate]:
             + _mzyz_gates(n, _name_counter("psi/a")))
 
 
-def synthesize_circuit(n: int, layers: int = 1) -> Circuit:
-    """The reduced single-layer circuit (gate order Phi, Psi, Z); layers > 1
-    repeats the layer with fresh `L<i>/`-prefixed parameters."""
+def synthesize_circuit(n: int) -> Circuit:
+    """The reduced single-layer circuit (gate order Phi, Psi, Z)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
     layer, _ = cancel_cnot_pairs(_odd_chain(n) + _even_chain(n) + list(z_factor(n).gates))
-    if layers == 1:
-        return Circuit(n, layer)
-    gates: list[Gate] = []
-    for i in range(1, layers + 1):
-        for g in layer:
-            if isinstance(g.param, str):
-                g = Gate(g.kind, g.qubits, f"L{i}/{g.param}")
-            gates.append(g)
-    return Circuit(n, gates)
+    return Circuit(n, layer)
 
 
 def naive_circuit(n: int) -> Circuit:

@@ -20,7 +20,6 @@ and batch reductions happen in fixed index order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,14 +37,14 @@ OPTIMIZERS = ("nm", "nelder_mead", "adam")
 NM_MAX_QUBITS = 5
 
 
-def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
     d = u.shape[0]
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > tol:
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-8:
         raise ValueError("matrix is not unitary")
     return u
 
@@ -98,8 +97,9 @@ def random_states(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def fd_gradient(objective, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def fd_gradient(objective, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient, one coordinate at a time."""
+    step = 1e-6
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
     for i in range(x.size):
@@ -183,21 +183,20 @@ def nelder_mead(objective, x0, max_iter: int = 10000, tol: float = 1e-12,
     return simplex[best].copy(), float(fvals[best])
 
 
-def adam(objective, x0, steps: int = 100, lr: float = 0.01, beta1: float = 0.9,
-         beta2: float = 0.999, eps: float = 1e-8, fd_step: float = 1e-6,
+def adam(objectives, x0, steps: int = 100, lr: float = 0.01,
          callback=None) -> tuple[np.ndarray, float]:
     """Adam with central finite-difference gradients.
 
-    ``objective`` is either a single callable f(x) or an iterable yielding one
-    callable per step (mini-batches).  A NaN loss or gradient aborts.
+    ``objectives`` is a sequence of callables f(x) (mini-batches); step t
+    takes the next one, cycling.  A NaN loss or gradient aborts.
     Returns the best (x, f) seen over the recorded step losses."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     x = np.asarray(x0, dtype=float).copy()
-    stream = itertools.repeat(objective, steps) if callable(objective) \
-        else itertools.islice(iter(objective), steps)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     best_x, best_f = x.copy(), math.inf
-    for t, fstep in enumerate(stream, start=1):
+    for t in range(1, steps + 1):
+        fstep = objectives[(t - 1) % len(objectives)]
         fx = float(fstep(x))
         if math.isnan(fx):
             raise RuntimeError(f"loss became NaN at step {t}")
@@ -205,7 +204,7 @@ def adam(objective, x0, steps: int = 100, lr: float = 0.01, beta1: float = 0.9,
             best_x, best_f = x.copy(), fx
         if callback is not None:
             callback(fx)
-        g = fd_gradient(fstep, x, fd_step)
+        g = fd_gradient(fstep, x)
         if np.isnan(g).any():
             raise RuntimeError(f"gradient became NaN at step {t}")
         m = beta1 * m + (1.0 - beta1) * g
@@ -254,8 +253,12 @@ class TrainConfig:
             self.optimizer = "nm"
         if self.dataset_size <= 0 or self.batch <= 0 or self.epochs <= 0:
             raise ValueError("sizes must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, not {self.lr}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, not {self.max_iter}")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, not {self.restarts}")
 
 
 @dataclass
@@ -364,7 +367,7 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
         batches = np.array_split(dataset, steps_per_epoch) if needs_states else [None]
         per_batch = [_make_objective(circuit, cfg.loss, target_su, b)
                      for b in batches]
-        best_x, best_f = adam(itertools.cycle(per_batch), x0, steps=steps,
+        best_x, best_f = adam(per_batch, x0, steps=steps,
                               lr=cfg.lr, callback=trace.append)
     else:
         objective = _make_objective(circuit, cfg.loss, target_su, dataset)

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_operator import exact_unitary
 from srbb.algebra import (
     Basis,
     BasisElement,
@@ -16,7 +17,6 @@ from srbb.algebra import (
     check_basis_properties,
     diagonal_positions,
     element_exponential,
-    exact_unitary,
     f_index,
     grouping,
     h_index,
@@ -219,6 +219,11 @@ def test_check_flags_a_tampered_basis():
     report = check_basis_properties(bad)
     assert not report.all_pass
     assert "identity_last" in report.failures
+
+
+def test_check_flags_a_short_basis():
+    report = check_basis_properties(Basis(order=3, elements=build_rbb(3).elements[:-1]))
+    assert report.failures[0] == "cardinality"
 
 
 def test_check_flags_a_dependent_odd_order_basis():

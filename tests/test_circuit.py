@@ -187,7 +187,10 @@ def _random_state(rng, n):
                          [(False, n, 1) for n in range(2, 6)]
                          + [(True, n, 1) for n in range(2, 6)] + [(False, 3, 2)])
 def test_plan_matches_the_gate_kernel_on_layers(naive, n, layers):
-    circ = naive_circuit(n) if naive else synthesize_circuit(n, layers=layers)
+    # layers > 1 stacks copies of the layer with fresh `L<i>/`-prefixed angles
+    circ = naive_circuit(n) if naive else Circuit(n, [
+        Gate(g.kind, g.qubits, f"L{i}/{g.param}" if isinstance(g.param, str) else g.param)
+        for i in range(1, layers + 1) for g in synthesize_circuit(n).gates])
     rng = np.random.default_rng([n, layers, naive])
     x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
     vals = dict(zip(circ.free_parameters, x))

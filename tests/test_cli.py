@@ -64,19 +64,6 @@ def test_compile_naive_counts(capsys):
     assert out == f"n_cnot={tally.n_cnot} n_rot={tally.n_rot}\n"
 
 
-def test_compile_naive_rejects_layers(capsys):
-    code, out, err = run_cli(capsys, "compile", "-n", "3", "--naive", "--layers", "2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --naive emits one layer; --layers must be 1\n"
-
-
-def test_compile_layers_scale_counts(capsys):
-    code, out, _ = run_cli(capsys, "compile", "-n", "2", "--layers", "3")
-    assert code == 0
-    assert out == "n_cnot=54 n_rot=63\n"
-
-
 def test_compile_writes_artifacts(tmp_path, capsys):
     qasm = tmp_path / "layer.qasm"
     doc = tmp_path / "layer.json"
@@ -372,6 +359,21 @@ def test_synthesize_rejects_n1(capsys):
     assert "n must be >= 2" in err
 
 
+@pytest.mark.parametrize("flags, problem", [
+    (("--restarts", "-1"), "restarts must be >= 0, not -1"),
+    (("--max-iter", "-3", "--restarts", "0"), "max_iter must be >= 1, not -3"),
+    (("--optimizer", "adam", "--lr", "nan"), "lr must be finite and > 0, not nan"),
+    (("--optimizer", "adam", "--lr", "inf"), "lr must be finite and > 0, not inf"),
+], ids=["restarts", "max-iter", "lr-nan", "lr-inf"])
+def test_synthesize_rejects_budgets_that_cannot_train(capsys, flags, problem):
+    # refused before any optimisation: a negative budget would report the
+    # random start, and a non-finite rate would fail inside simulation
+    code, out, err = run_cli(capsys, "synthesize", "cnot", "-n", "2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {problem}\n"
+
+
 def test_synthesize_refuses_nelder_mead_at_n6(capsys):
     code, out, err = run_cli(capsys, "synthesize", "qft6", "-n", "6")
     assert code == 2
@@ -420,6 +422,22 @@ def test_module_entry_point(srbb_env):
         capture_output=True, text=True, env=srbb_env)
     assert proc.returncode == 0
     assert proc.stdout == "n_cnot=18 n_rot=21\n"
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path, srbb_env):
+    # simulation multiplies through BLAS, whose thread count a run manifest
+    # does not record; a report must therefore not depend on it
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        subprocess.run([sys.executable, "-m", "srbb.cli", "synthesize", "qft4", "-n", "4",
+                        "--max-iter", "200", "--restarts", "0", "--tol", "0",
+                        "--out", str(out)], check=True, capture_output=True,
+                       env={**srbb_env, "OPENBLAS_NUM_THREADS": threads})
+        doc = json.loads(out.read_text())
+        del doc["wall_ms"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_runtime_needs_numpy_only(srbb_env):

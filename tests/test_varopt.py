@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrics import fidelity, hellinger, trace_distance
 from srbb.circuit import unitary_of
 from srbb.compiler import synthesize_circuit
 from srbb.targets import named_target, random_su
 from srbb.varopt import (
+    LOSSES,
     TrainConfig,
     _make_objective,
     adam,
@@ -241,17 +244,16 @@ def test_nelder_mead_deterministic():
 
 def test_adam_quadratic():
     c = np.array([0.5, -0.25])
-    x, f = adam(lambda x: float(((x - c) ** 2).sum()), np.zeros(2),
+    x, f = adam([lambda x: float(((x - c) ** 2).sum())], np.zeros(2),
                 steps=2000, lr=0.05)
     assert np.abs(x - c).max() < 1e-6
 
 
 def test_adam_accepts_per_step_objectives():
-    # alternating objectives emulate mini-batches; the optimizer must pull
-    # one callable per step and still track the best seen
-    c1, c2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    objs = (lambda x, c=(c1 if t % 2 == 0 else c2): float(((x - c) ** 2).sum())
-            for t in range(800))
+    # alternating objectives emulate mini-batches; the optimizer must take
+    # one callable per step, cycling, and still track the best seen
+    objs = [lambda x, c=c: float(((x - c) ** 2).sum())
+            for c in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
     x, f = adam(objs, np.zeros(2), steps=800, lr=0.05)
     assert np.abs(x - 0.5).max() < 0.1  # converges near the compromise point
     assert np.isfinite(f)
@@ -259,12 +261,12 @@ def test_adam_accepts_per_step_objectives():
 
 def test_adam_nan_aborts():
     with pytest.raises(RuntimeError):
-        adam(lambda x: float("nan"), np.zeros(2), steps=5)
+        adam([lambda x: float("nan")], np.zeros(2), steps=5)
 
 
 def test_adam_trace_is_finite():
     seen = []
-    adam(lambda x: float((x**2).sum()), np.array([1.0]), steps=50,
+    adam([lambda x: float((x**2).sum())], np.array([1.0]), steps=50,
          callback=seen.append)
     assert len(seen) == 50
     assert np.isfinite(seen).all()
@@ -282,6 +284,8 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    # the smallest budgets stay valid: nm-n4 runs with --tol 0 --restarts 0
+    TrainConfig(tol=0.0, max_iter=1, restarts=0)
 
 
 def test_train_config_maps_the_nelder_mead_alias():
@@ -354,3 +358,21 @@ def test_train_deterministic_given_seed():
     b = train(2, target, cfg)
     assert a.loss_trace == b.loss_trace
     assert np.array_equal(a.recovered_unitary, b.recovered_unitary)
+
+
+def _report_without_time(report):
+    doc = report.to_json_dict()
+    del doc["wall_ms"]
+    return doc
+
+
+@pytest.mark.parametrize("optimizer", ["nm", "adam"])
+@pytest.mark.parametrize("loss", LOSSES)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_equal_seeds_give_identical_reports(optimizer, loss, seed):
+    cfg = TrainConfig(loss=loss, optimizer=optimizer, seed=seed, dataset_size=8,
+                      batch=4, epochs=1, max_iter=40, restarts=1)
+    target = named_target("iswap", 2).unitary
+    assert _report_without_time(train(2, target, cfg)) == \
+        _report_without_time(train(2, target, cfg))
