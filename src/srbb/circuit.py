@@ -6,9 +6,8 @@ values are stored; simulation and QASM export take a name -> angle mapping,
 None for every named angle at 0.0, or a vector of angles in free_parameters
 order.  The gate set is exactly the layer's: CNOT, RZ and RY; any other
 kind, a gate on the wrong number of qubits or on a non-integer qubit, a CNOT
-with an angle, or a rotation whose angle is neither a name nor a finite
-number (a bool is not one), is rejected when the Gate is built, and a
-Circuit needs an integer n >= 1.
+with an angle, or a rotation whose angle is not a name, is rejected when the
+Gate is built, and a Circuit needs an integer n >= 1.
 Qubit 0 is the most significant bit of a state index, so
 |0...0> = (1, 0, ..., 0)^T, and the leftmost gate of a diagram is the first
 one applied to the state.
@@ -33,7 +32,6 @@ of the wrong shape, is a ValueError before any work is done.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,12 +42,12 @@ _ARITY = {"CNOT": 2, "RZ": 1, "RY": 1}
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate: RZ or RY with qubits = (target,) and an angle, or CNOT
-    with qubits = (control, target)."""
+    """One gate: RZ or RY with qubits = (target,) and an angle name, or
+    CNOT with qubits = (control, target)."""
 
     kind: str
     qubits: tuple[int, ...]
-    param: str | float | None = None
+    param: str | None = None
 
     def __post_init__(self):
         arity = _ARITY.get(self.kind)
@@ -67,18 +65,15 @@ class Gate:
         if arity == 2:
             if p is not None:
                 raise ValueError(f"CNOT gate takes no parameter, got {p!r}")
-        elif p is None:
-            raise ValueError(f"{self.kind} gate needs a parameter")
-        elif isinstance(p, bool) or not (
-                isinstance(p, str) or isinstance(p, (int, float)) and math.isfinite(p)):
-            raise ValueError(f"{self.kind} angle must be a name or a finite number, got {p!r}")
+        elif not isinstance(p, str):
+            raise ValueError(f"{self.kind} angle must be a name, got {p!r}")
 
 
-def rz(q: int, param: str | float) -> Gate:
+def rz(q: int, param: str) -> Gate:
     return Gate("RZ", (q,), param)
 
 
-def ry(q: int, param: str | float) -> Gate:
+def ry(q: int, param: str) -> Gate:
     return Gate("RY", (q,), param)
 
 
@@ -103,7 +98,7 @@ class Circuit:
         for g in self.gates:
             if any(q < 0 or q >= self.n for q in g.qubits):
                 raise ValueError(f"gate {g.kind}{g.qubits} outside {self.n} qubits")
-            if isinstance(g.param, str):
+            if g.param is not None:
                 names[g.param] = None
         object.__setattr__(self, "free_parameters", tuple(names))
 
@@ -188,9 +183,8 @@ class _Plan:
         xs = np.arange(d)
         index = {name: k for k, name in enumerate(circuit.free_parameters)}
         bit = [1 << (n - 1 - q) for q in range(n)]
-        # every rotation's run, parity mask, and index into the named
-        # angles followed by the numeric ones
-        segs, rot_masks, idx, consts = [], [], [], []
+        # every rotation's run, parity mask, and index into the angles
+        segs, rot_masks, idx = [], [], []
         runs: list[tuple[int | None, list[int]]] = []  # (RY target or None, masks)
         for g in circuit.gates:
             if g.kind == "RY":
@@ -213,18 +207,13 @@ class _Plan:
                 continue
             segs.append(len(runs) - 1)
             rot_masks.append(masks[g.qubits[0]] if target is None else masks[0])
-            if isinstance(g.param, str):
-                idx.append(index[g.param])
-            else:
-                idx.append(len(index) + len(consts))
-                consts.append(float(g.param))
+            idx.append(index[g.param])
         # the bincount slot of each rotation's angle: its run and its mask
         # among the masks in use
         used, which = np.unique(np.array(rot_masks, dtype=np.intp), return_inverse=True)
         self.walsh = 1.0 - 2.0 * _parity(used[:, None] & xs)
         self.slots = np.array(segs, dtype=np.intp) * len(used) + which
         self.idx = np.array(idx, dtype=np.intp)
-        self.consts = np.array(consts)
         self.runs = len(runs)
         # a step: its sources (a, b) row by row, the sign of the sine in B,
         # and the half-angles it reads: the rotation's, the phases at a and
@@ -264,8 +253,7 @@ class _Plan:
     def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """cols, a (2^n, m) stack of columns, after the circuit with angle
         vector x, as a new array."""
-        angles = np.concatenate((x, self.consts))[self.idx]
-        w = np.bincount(self.slots, weights=angles, minlength=self.runs * len(self.walsh))
+        w = np.bincount(self.slots, weights=x[self.idx], minlength=self.runs * len(self.walsh))
         half = np.append(0.5 * (w.reshape(self.runs, len(self.walsh)) @ self.walsh), 0.0)
         cos, sin = np.cos(half[self.reads]), np.sin(half[self.reads])
         phase = cos - 1j * sin  # exp(-i half)
@@ -392,6 +380,5 @@ def to_qasm(circuit: Circuit, params=None) -> str:
         if g.kind == "CNOT":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
         else:
-            angle = float(named[g.param] if isinstance(g.param, str) else g.param)
-            lines.append(f"{g.kind.lower()}({angle!r}) q[{g.qubits[0]}];")
+            lines.append(f"{g.kind.lower()}({float(named[g.param])!r}) q[{g.qubits[0]}];")
     return "\n".join(lines) + "\n"

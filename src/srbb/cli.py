@@ -1,6 +1,7 @@
 """Command-line entry points: compile, counts, verify, synthesize, targets.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error or a
+file that cannot be read or written.
 All randomness in a command flows from the single --seed flag, split
 deterministically per consumer with a SeedSequence.
 """
@@ -58,7 +59,8 @@ def cmd_compile(args) -> int:
             fh.write(to_qasm(circuit))
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(to_json_dict(circuit), fh)
+            # json.dumps encodes in C; json.dump streams through Python's encoder
+            fh.write(json.dumps(to_json_dict(circuit)))
     print(f"n_cnot={tally.n_cnot} n_rot={tally.n_rot}")
     return 0
 
@@ -105,11 +107,9 @@ def _verify_equivalence(n: int, seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return 2
-    if args.suite in ("equivalence", "all") and args.n > 6:
-        print("error: equivalence suite is limited to n <= 6", file=sys.stderr)
-        return 2
+        raise ValueError("n must be >= 2")
+    if args.suite != "counts" and args.n > 6:
+        raise ValueError("basis and equivalence suites are limited to n <= 6")
     suites = {}
     if args.suite in ("basis", "all"):
         suites["basis"] = _verify_basis(args.n)
@@ -138,16 +138,11 @@ def _load_target(ref: str, n: int, seed: int) -> np.ndarray:
 
 def cmd_synthesize(args) -> int:
     if args.n < 2:
-        print("error: n must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("n must be >= 2")
     # one user-facing seed, split per consumer
     target_seed, train_seed = (int(s) for s in
                                np.random.SeedSequence(args.seed).generate_state(2))
-    try:
-        target = _load_target(args.target, args.n, target_seed)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    target = _load_target(args.target, args.n, target_seed)
     # every TrainConfig field but the seed is the option of the same name
     options = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "seed"}
     cfg = TrainConfig(seed=train_seed, **options)
@@ -174,15 +169,10 @@ def cmd_targets(args) -> int:
             print(f"{n} {name}")
         return 0
     # emit
-    try:
-        spec = named_target(args.name, args.target_n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    doc = matrix_to_json(spec.unitary)
+    doc = matrix_to_json(named_target(args.name, args.target_n).unitary)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))  # one C encoder call, as in cmd_compile
     else:
         print(json.dumps(doc))
     return 0
@@ -249,7 +239,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

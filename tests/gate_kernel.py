@@ -10,10 +10,6 @@ import math
 import numpy as np
 
 
-def _angle(gate, params) -> float:
-    return params[gate.param] if isinstance(gate.param, str) else float(gate.param)
-
-
 def _axis_views(arr, q):
     pre = (slice(None),) * q
     return arr[pre + (0,)], arr[pre + (1,)]
@@ -31,7 +27,7 @@ def _apply_gate(arr, gate, params) -> None:
         a1[...] = t0
         return
     a0, a1 = _axis_views(arr, gate.qubits[0])
-    half = 0.5 * _angle(gate, params)
+    half = 0.5 * params[gate.param]
     if gate.kind == "RZ":
         a0 *= complex(math.cos(half), -math.sin(half))
         a1 *= complex(math.cos(half), math.sin(half))

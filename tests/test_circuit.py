@@ -35,17 +35,20 @@ def _basis_state(n, index):
 
 
 def _random_circuit(rng, n, depth=12):
+    """A random circuit whose k-th rotation has the angle name t<k>, and the
+    angle drawn for each name."""
     pool = ["RZ", "RY"] + (["CNOT"] if n > 1 else [])
-    gates = []
+    gates, vals = [], {}
     for _ in range(depth):
         kind = rng.choice(pool)
         if kind == "CNOT":
             a, b = rng.choice(n, size=2, replace=False)
             gates.append(cnot(int(a), int(b)))
         else:
-            gates.append(Gate(kind, (int(rng.integers(n)),),
-                              float(rng.uniform(-np.pi, np.pi))))
-    return Circuit(n, gates)
+            name = f"t{len(vals)}"
+            gates.append(Gate(kind, (int(rng.integers(n)),), name))
+            vals[name] = float(rng.uniform(-np.pi, np.pi))
+    return Circuit(n, gates), vals
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +60,9 @@ def test_empty_circuit_is_identity():
 
 def test_rotation_matrices():
     phi = 0.7
-    u = unitary_of(Circuit(1, [rz(0, phi)]))
+    u = unitary_of(Circuit(1, [rz(0, "phi")]), {"phi": phi})
     assert np.allclose(u, np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)]), atol=1e-15)
-    u = unitary_of(Circuit(1, [ry(0, phi)]))
+    u = unitary_of(Circuit(1, [ry(0, "phi")]), {"phi": phi})
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     assert np.allclose(u, [[c, -s], [s, c]], atol=1e-15)
 
@@ -78,15 +81,16 @@ def test_cnot_top_control():
 def test_z_string_conjugation_identity():
     # CNOT(0,1) RZ(q1, -2t) CNOT(0,1) = exp(i t Z x Z)
     t = 0.37
-    circ = Circuit(2, [cnot(0, 1), rz(1, -2 * t), cnot(0, 1)])
+    circ = Circuit(2, [cnot(0, 1), rz(1, "phi"), cnot(0, 1)])
     want = np.diag(np.exp(1j * t * np.array([1, -1, -1, 1])))
-    assert np.abs(unitary_of(circ) - want).max() < 1e-12
+    assert np.abs(unitary_of(circ, {"phi": -2 * t}) - want).max() < 1e-12
 
 
 def test_x_on_top_qubit():
     # RY(pi) takes |0> to |1>; on qubit 0 that flips the most significant bit
-    circ = Circuit(2, [ry(0, math.pi)])
-    assert np.abs(apply(circ, None, _basis_state(2, 0)) - _basis_state(2, 2)).max() < 1e-15
+    circ = Circuit(2, [ry(0, "a")])
+    out = apply(circ, {"a": math.pi}, _basis_state(2, 0))
+    assert np.abs(out - _basis_state(2, 2)).max() < 1e-15
 
 
 def test_swap_gate():
@@ -133,9 +137,10 @@ def test_json_rejects_cnot_with_param():
         from_json_dict(_one_gate_doc({"kind": "CNOT", "qubits": [0, 1], "param": 0.7}))
 
 
-def test_json_rejects_non_finite_angle():
-    with pytest.raises(ValueError, match="finite number"):
-        from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0], "param": math.nan}))
+@pytest.mark.parametrize("param", [math.nan, 0.3, True], ids=["nan", "number", "bool"])
+def test_json_rejects_an_angle_that_is_not_a_name(param):
+    with pytest.raises(ValueError, match="must be a name"):
+        from_json_dict(_one_gate_doc({"kind": "RZ", "qubits": [0], "param": param}))
 
 
 def test_missing_parameter_is_a_domain_error():
@@ -168,9 +173,7 @@ def test_apply_matches_unitary_on_random_circuits():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        circ = _random_circuit(rng, n)
-        vals = dict(zip(circ.free_parameters,
-                        rng.uniform(-np.pi, np.pi, len(circ.free_parameters))))
+        circ, vals = _random_circuit(rng, n)
         state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state /= np.linalg.norm(state)
         direct = apply(circ, vals, state)
@@ -216,8 +219,8 @@ def _gate_lists(draw):
             c, t = draw(st.permutations(range(n)))[:2]
             gates.append(cnot(c, t))
         else:
-            # few names, so names repeat; numeric angles are constants
-            angle = draw(st.sampled_from(("a", "b", "c")) | st.floats(-4.0, 4.0))
+            # few names, so names repeat, or a name of this gate's own
+            angle = draw(st.sampled_from(("a", "b", "c")) | st.just(f"k{len(gates)}"))
             gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
     return Circuit(n, gates)
 
@@ -226,14 +229,14 @@ def _gate_lists(draw):
 @given(_gate_lists(), st.integers(0, 2**32 - 1))
 @example(Circuit(1, ()), 0)
 @example(Circuit(2, [ry(1, "a"), cnot(0, 1), rz(1, "b"), ry(1, "a"), cnot(0, 1)]), 1)
-@example(Circuit(3, [ry(2, "a"), cnot(0, 2), cnot(2, 1), ry(2, 0.3), cnot(1, 2),
+@example(Circuit(3, [ry(2, "a"), cnot(0, 2), cnot(2, 1), ry(2, "k"), cnot(1, 2),
                      ry(2, "b"), cnot(0, 2)]), 2)
 @example(Circuit(3, [rz(0, "a"), cnot(0, 2), cnot(2, 1), rz(1, "b"), cnot(1, 0)]), 3)
-@example(Circuit(1, [ry(0, "a"), ry(0, 0.4)]), 4)
+@example(Circuit(1, [ry(0, "a"), ry(0, "k")]), 4)
 @example(Circuit(2, [ry(1, "a"), cnot(0, 1), ry(1, "b"), rz(0, "c"), cnot(1, 0), rz(0, "a")]), 5)
 @example(Circuit(3, [rz(2, "a"), cnot(0, 2), ry(2, "b"), cnot(1, 2), cnot(2, 0), rz(0, "c"),
                      cnot(0, 1)]), 6)
-@example(Circuit(3, [ry(0, "a"), cnot(1, 0), ry(1, "b"), cnot(2, 1), ry(1, 0.5), cnot(0, 1)]), 7)
+@example(Circuit(3, [ry(0, "a"), cnot(1, 0), ry(1, "b"), cnot(2, 1), ry(1, "k"), cnot(0, 1)]), 7)
 def test_plan_matches_the_gate_kernel(circ, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
@@ -330,9 +333,8 @@ def test_apply_rejects_wrong_length():
 
 def test_unitary_of_is_unitary():
     rng = np.random.default_rng(3)
-    circ = _random_circuit(rng, 3, depth=30)
-    vals = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
-    u = unitary_of(circ, dict(zip(circ.free_parameters, vals)))
+    circ, vals = _random_circuit(rng, 3, depth=30)
+    u = unitary_of(circ, vals)
     assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-10
 
 
@@ -345,26 +347,26 @@ def test_sample_identity_circuit():
 
 
 def test_sample_hadamard_balance():
-    circ = Circuit(1, [ry(0, math.pi / 2)])
-    hist = sample(circ, None, _basis_state(1, 0), 10**5, seed=1)
+    circ = Circuit(1, [ry(0, "a")])
+    hist = sample(circ, {"a": math.pi / 2}, _basis_state(1, 0), 10**5, seed=1)
     sigma = math.sqrt(10**5 * 0.25)
     assert abs(hist[0] - 50_000) < 5 * sigma
 
 
 def test_sample_deterministic_given_seed():
     rng = np.random.default_rng(8)
-    circ = _random_circuit(rng, 2)
-    vals = dict(zip(circ.free_parameters, rng.uniform(-1, 1, len(circ.free_parameters))))
+    circ, vals = _random_circuit(rng, 2)
     a = sample(circ, vals, _basis_state(2, 0), 500, seed=42)
     b = sample(circ, vals, _basis_state(2, 0), 500, seed=42)
     assert np.array_equal(a, b)
 
 
 def test_sample_histogram_close_to_exact():
-    circ = Circuit(2, [ry(0, math.pi / 2), cnot(0, 1), ry(1, 1.1)])
-    amp = apply(circ, None, _basis_state(2, 0))
+    circ = Circuit(2, [ry(0, "a"), cnot(0, 1), ry(1, "b")])
+    vals = {"a": math.pi / 2, "b": 1.1}
+    amp = apply(circ, vals, _basis_state(2, 0))
     exact = np.abs(amp) ** 2
-    hist = sample(circ, None, _basis_state(2, 0), 10_000, seed=5)
+    hist = sample(circ, vals, _basis_state(2, 0), 10_000, seed=5)
     assert hellinger(hist / 10_000, exact) < 0.05
 
 
@@ -382,13 +384,13 @@ def test_cancel_adjacent_pair():
 
 
 def test_cancel_blocked_by_control_wire():
-    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(0, 0.3), cnot(0, 1)])
+    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(0, "a"), cnot(0, 1)])
     assert removed == 0 and len(out) == 3
 
 
 def test_cancel_skips_spectator_wires():
     # a gate on an untouched wire does not block the cancellation
-    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(2, 0.3), cnot(0, 1)])
+    out, removed = cancel_cnot_pairs([cnot(0, 1), rz(2, "a"), cnot(0, 1)])
     assert removed == 2
     assert [g.kind for g in out] == ["RZ"]
 
@@ -402,9 +404,7 @@ def test_cancel_preserves_unitary():
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        circ = _random_circuit(rng, n, depth=20)
-        vals = dict(zip(circ.free_parameters,
-                        rng.uniform(-np.pi, np.pi, len(circ.free_parameters))))
+        circ, vals = _random_circuit(rng, n, depth=20)
         out, _ = cancel_cnot_pairs(circ.gates)
         out = Circuit(n, out)
         assert np.abs(unitary_of(circ, vals) - unitary_of(out, vals)).max() < 1e-10
@@ -415,7 +415,7 @@ def test_cancel_preserves_unitary():
 
 def test_json_round_trip():
     rng = np.random.default_rng(23)
-    circ = _random_circuit(rng, 3)
+    circ, _ = _random_circuit(rng, 3)
     text = json.dumps(to_json_dict(circ))
     assert set(json.loads(text)) == {"n", "gates", "params"}
     assert from_json_dict(json.loads(text)) == circ
@@ -455,8 +455,8 @@ def test_json_rejects_a_malformed_document(doc):
 
 
 def test_qasm_output():
-    circ = Circuit(2, [ry(0, 0.5), cnot(0, 1), rz(1, "t")])
-    text = to_qasm(circ, {"t": 0.25})
+    circ = Circuit(2, [ry(0, "s"), cnot(0, 1), rz(1, "t")])
+    text = to_qasm(circ, {"s": 0.5, "t": 0.25})
     lines = text.strip().splitlines()
     assert lines[0] == "OPENQASM 2.0;"
     assert lines[1] == 'include "qelib1.inc";'
@@ -465,4 +465,4 @@ def test_qasm_output():
     assert lines[4] == "cx q[0],q[1];"
     assert lines[5] == "rz(0.25) q[1];"
     # a vector in free_parameters order binds as in simulation
-    assert to_qasm(circ, np.array([0.25])) == text
+    assert to_qasm(circ, np.array([0.5, 0.25])) == text

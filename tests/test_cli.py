@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 import srbb.cli as cli
-from srbb.circuit import from_json_dict, unitary_of
+from srbb.circuit import from_json_dict, to_json_dict, unitary_of
 from srbb.cli import main
-from srbb.compiler import GateCounts, count_from_circuit, naive_circuit
+from srbb.compiler import GateCounts, count_from_circuit, naive_circuit, synthesize_circuit
 from srbb.targets import named_target
 
 # small optimizer budget for synthesize smoke tests: quality of the fit is
@@ -78,6 +78,13 @@ def test_compile_writes_artifacts(tmp_path, capsys):
     assert len(circuit.gates) == 18 + 21
     # stored parameter values are zeros, so the instance is the identity
     assert np.allclose(unitary_of(circuit), np.eye(4), atol=1e-12)
+
+
+def test_compile_json_is_the_circuit_dict_without_indent(tmp_path, capsys):
+    doc = tmp_path / "layer.json"
+    code, _, _ = run_cli(capsys, "compile", "-n", "3", "--json", str(doc))
+    assert code == 0
+    assert doc.read_text() == json.dumps(to_json_dict(synthesize_circuit(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +161,18 @@ def test_verify_equivalence_capped_at_n6(capsys):
     assert "n <= 6" in err
 
 
+def test_verify_basis_capped_at_n6(capsys, monkeypatch):
+    # the n = 7 basis alone would be a 4 GiB stack: refuse before building it
+    def build_srbb(n):
+        raise AssertionError(f"built the n = {n} basis")
+
+    monkeypatch.setattr(cli, "build_srbb", build_srbb)
+    code, out, err = run_cli(capsys, "verify", "-n", "7", "--suite", "basis")
+    assert code == 2
+    assert out == ""
+    assert "n <= 6" in err
+
+
 def test_verify_equivalence_n6_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "-n", "6", "--suite", "equivalence")
     assert code == 0
@@ -214,6 +233,17 @@ def test_targets_emit_unknown(capsys):
     code, _, err = run_cli(capsys, "targets", "emit", "nosuch", "3")
     assert code == 2
     assert "unknown target" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compile", "-n", "2", "--qasm", "{tmp}/missing/x.qasm"),
+    ("targets", "emit", "cnot", "2", "--out", "{tmp}/missing/t.json"),
+], ids=["compile", "targets-emit"])
+def test_an_output_in_a_missing_directory_exits_2(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2]")
 
 
 # ---------------------------------------------------------------------------
