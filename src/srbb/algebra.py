@@ -40,10 +40,18 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered basis of d*d elements for the order-d matrix algebra."""
+    """Ordered basis of the order-d matrix algebra as one (d*d, d, d) array,
+    element j (1-based) at stack[j-1]; elements are views of its rows."""
 
-    order: int
-    elements: tuple[BasisElement, ...]
+    stack: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.stack.shape[-1]
+
+    @property
+    def elements(self) -> tuple[BasisElement, ...]:
+        return tuple(BasisElement(j, m) for j, m in enumerate(self.stack, start=1))
 
 
 def diagonal_positions(d: int) -> list[int]:
@@ -98,13 +106,11 @@ def _rbb_element(d: int, j: int) -> np.ndarray:
 
 
 def _build_basis(d: int, element) -> Basis:
-    """The order-d basis of element(j), j = 1..d^2, written into one
-    (d^2, d, d) array whose rows the elements view."""
+    """The order-d basis of element(j), j = 1..d^2, as one (d^2, d, d) array."""
     stack = np.empty((d * d, d, d), dtype=complex)
     for j, out in enumerate(stack, start=1):
         out[...] = element(j)
-    return Basis(order=d, elements=tuple(BasisElement(j, m)
-                                         for j, m in enumerate(stack, start=1)))
+    return Basis(stack)
 
 
 def build_rbb(d: int) -> Basis:
@@ -153,14 +159,15 @@ class PropertyReport:
 
     Property letters: a cardinality, b trace, c involution, d independent,
     e diagonal_positions, f identity_last.  Hermiticity is tracked alongside
-    as an element invariant.  failures names each failed property, in the
-    order checked; the basis passes when it is empty.
+    as an element invariant.  Row r of basis.stack is position r + 1.
+    failures names each failed property, in the order checked; the basis
+    passes when it is empty.
 
-    ``"independent"``: the complex rank of all d^2 elements is d^2 (for
-    Hermitian matrices, the same as over the reals).  At even orders, with
-    the trace and identity checks, this means i*B_j (j < d^2) span su(d); at
-    odd orders the non-identity elements have trace 1, so it means the d^2
-    elements are a basis of the order-d matrix algebra.
+    ``"independent"``: the complex rank of basis.stack viewed as a
+    (rows, d*d) matrix is d^2 (for Hermitian matrices, the same as over the
+    reals).  At even orders, with the trace and identity checks, this means
+    i*B_j (j < d^2) span su(d); at odd orders the non-identity elements have
+    trace 1, so it means the d^2 elements are a basis of the order-d algebra.
     """
 
     max_deviation: dict[str, float]
@@ -172,41 +179,33 @@ class PropertyReport:
 
 
 def check_basis_properties(basis: Basis) -> PropertyReport:
-    """Verify the defining properties of an RBB/SRBB basis."""
+    """Verify the defining properties of an RBB/SRBB basis in place."""
     tol = 1e-12
-    d = basis.order
-    failures: list[str] = []
+    stack, d = basis.stack, basis.order
+    failures = ["cardinality"] if len(stack) != d * d else []
     dev = {"trace": 0.0, "involution": 0.0, "hermitian": 0.0, "identity_last": 0.0}
-
-    if len(basis.elements) != d * d:
-        failures.append("cardinality")
 
     expected_trace = 0.0 if d % 2 == 0 else 1.0
     eye = np.eye(d)
-    for el in basis.elements:
-        m = el.matrix
-        if el.index <= d * d - 1:
+    diag_pos = set(diagonal_positions(d))
+    diag_ok = True
+    for j, m in enumerate(stack, start=1):
+        if j <= d * d - 1:
             dev["trace"] = max(dev["trace"], abs(np.trace(m) - expected_trace))
         dev["involution"] = max(dev["involution"], float(np.abs(m @ m - eye).max()))
         dev["hermitian"] = max(dev["hermitian"], float(np.abs(m - m.conj().T).max()))
+        is_diag = float(np.abs(m - np.diag(np.diag(m))).max()) <= tol
+        diag_ok &= is_diag == (j in diag_pos)
     for key in ("trace", "involution", "hermitian"):
         if not dev[key] <= tol:
             failures.append(key)
 
-    stack = np.stack([el.matrix.ravel() for el in basis.elements])
-    if np.linalg.matrix_rank(stack) != d * d:
+    if np.linalg.matrix_rank(stack.reshape(len(stack), d * d)) != d * d:
         failures.append("independent")
-
-    diag_pos = set(diagonal_positions(d))
-    diag_ok = True
-    for el in basis.elements:
-        is_diag = float(np.abs(el.matrix - np.diag(np.diag(el.matrix))).max()) <= tol
-        if is_diag != (el.index in diag_pos):
-            diag_ok = False
     if not diag_ok:
         failures.append("diagonal_positions")
 
-    dev["identity_last"] = float(np.abs(basis.elements[-1].matrix - eye).max())
+    dev["identity_last"] = float(np.abs(stack[-1] - eye).max())
     if not dev["identity_last"] <= tol:
         failures.append("identity_last")
     return PropertyReport(max_deviation=dev, failures=failures)

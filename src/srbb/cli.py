@@ -9,7 +9,9 @@ deterministically per consumer with a SeedSequence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -51,16 +53,37 @@ def _matrix_from_json(doc) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in doc])
 
 
+@contextlib.contextmanager
+def _open_outputs(paths):
+    """Open every path for writing before the body writes any of them.  If an
+    open or the body fails, the files opened so far are removed, so a command
+    leaves all its outputs or none."""
+    files = []
+    try:
+        for path in paths:
+            files.append(open(path, "w"))
+        yield files
+        for fh in files:
+            fh.close()
+    except BaseException:
+        for fh in files:
+            fh.close()
+            os.remove(fh.name)
+        raise
+
+
 def cmd_compile(args) -> int:
     circuit = naive_circuit(args.n) if args.naive else synthesize_circuit(args.n)
     tally = count_from_circuit(circuit)
+    texts = {}
     if args.qasm:
-        with open(args.qasm, "w") as fh:
-            fh.write(to_qasm(circuit))
+        texts[args.qasm] = to_qasm(circuit)
     if args.json:
-        with open(args.json, "w") as fh:
-            # json.dumps encodes in C; json.dump streams through Python's encoder
-            fh.write(json.dumps(to_json_dict(circuit)))
+        # json.dumps encodes in C; json.dump streams through Python's encoder
+        texts[args.json] = json.dumps(to_json_dict(circuit))
+    with _open_outputs(texts) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text)
     print(f"n_cnot={tally.n_cnot} n_rot={tally.n_rot}")
     return 0
 
@@ -146,19 +169,19 @@ def cmd_synthesize(args) -> int:
     # every TrainConfig field but the seed is the option of the same name
     options = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "seed"}
     cfg = TrainConfig(seed=train_seed, **options)
-    report = train(args.n, target, cfg)
-    outputs = []
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-        outputs.append(args.out)
-        manifest = RunManifest(
-            command="synthesize", n=args.n, target=args.target,
-            cfg=asdict(cfg),
-            seed=args.seed, outputs=tuple(outputs),
-        )
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2)
+    # the outputs are opened before training, so a bad path fails in
+    # milliseconds rather than after the whole optimisation
+    paths = (args.out, args.out + ".manifest.json") if args.out else ()
+    with _open_outputs(paths) as files:
+        report = train(args.n, target, cfg)
+        if files:
+            report_fh, manifest_fh = files
+            json.dump(report.to_json_dict(), report_fh, indent=2)
+            manifest = RunManifest(
+                command="synthesize", n=args.n, target=args.target,
+                cfg=asdict(cfg), seed=args.seed, outputs=(args.out,),
+            )
+            json.dump(asdict(manifest), manifest_fh, indent=2)
     print(" ".join(f"{k}={v:.6e}" for k, v in report.final_loss.items()))
     return 0
 

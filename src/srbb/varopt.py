@@ -30,7 +30,7 @@ from .circuit import Circuit, unitary_of
 from .compiler import gate_counts, synthesize_circuit
 
 LOSSES = ("frobenius", "trace", "fidelity")
-OPTIMIZERS = ("nm", "nelder_mead", "adam")
+OPTIMIZERS = ("nm", "adam")
 # Nelder-Mead holds a (dim+1) x dim simplex and evaluates every vertex before
 # its first step: at n = 5 that is 30 MB and about 30 s, at n = 6 0.5 GB and
 # about 8000 evaluations of a 16k-gate circuit
@@ -223,10 +223,10 @@ def adam(objectives, x0, steps: int = 100, lr: float = 0.01,
 class TrainConfig:
     """Knobs for a training run.
 
-    loss: frobenius | trace | fidelity.  optimizer: nm (alias nelder_mead) |
-    adam.  dataset_size/batch apply to the state-evolution losses; epochs and
-    batch also fix Adam's step count (epochs * ceil(dataset_size / batch))
-    for every loss.  max_iter/tol bound a single Nelder-Mead run; restarts
+    loss: frobenius | trace | fidelity.  optimizer: nm (Nelder-Mead) | adam.
+    dataset_size/batch apply to the state-evolution losses; epochs and batch
+    also fix Adam's step count (epochs * ceil(dataset_size / batch)) for
+    every loss.  max_iter/tol bound a single Nelder-Mead run; restarts
     re-launch it from the incumbent best with a fresh simplex (which undoes
     simplex collapse and resumes descent) until target_loss is reached or the
     restart budget is spent.
@@ -249,8 +249,6 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.optimizer == "nelder_mead":
-            self.optimizer = "nm"
         if self.dataset_size <= 0 or self.batch <= 0 or self.epochs <= 0:
             raise ValueError("sizes must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):

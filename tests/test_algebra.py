@@ -1,6 +1,7 @@
 """Basis construction, property checks, index maps, factor grouping."""
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from paper_operator import exact_unitary
 from srbb.algebra import (
     Basis,
-    BasisElement,
     build_rbb,
     build_srbb,
     check_basis_properties,
@@ -32,7 +32,7 @@ SIGMA_3 = np.diag([1.0, -1.0]).astype(complex)
 
 def _el(basis, j):
     """Element at 1-based position j."""
-    return basis.elements[j - 1].matrix
+    return basis.stack[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -214,27 +214,49 @@ def test_diagonal_positions_values():
 
 
 def test_check_flags_a_tampered_basis():
-    b = build_srbb(2)
-    bad = Basis(order=4, elements=b.elements[:-1] + (b.elements[0],))
+    stack = build_srbb(2).stack
+    bad = Basis(np.concatenate([stack[:-1], stack[:1]]))
     report = check_basis_properties(bad)
     assert not report.all_pass
     assert "identity_last" in report.failures
 
 
 def test_check_flags_a_short_basis():
-    report = check_basis_properties(Basis(order=3, elements=build_rbb(3).elements[:-1]))
+    report = check_basis_properties(Basis(build_rbb(3).stack[:-1]))
     assert report.failures[0] == "cardinality"
 
 
 def test_check_flags_a_dependent_odd_order_basis():
     # a repeated element passes every element-wise check; only the rank
     # check sees it
-    b = build_rbb(3)
-    copied = BasisElement(2, b.elements[0].matrix)
-    bad = Basis(order=3, elements=(b.elements[0], copied) + b.elements[2:])
-    report = check_basis_properties(bad)
+    stack = build_rbb(3).stack.copy()
+    stack[1] = stack[0]
+    report = check_basis_properties(Basis(stack))
     assert report.failures == ["independent"]
     assert not report.all_pass
+
+
+def test_elements_view_the_stack():
+    b = build_srbb(3)
+    assert b.order == 8 and b.stack.shape == (64, 8, 8)
+    for j, el in enumerate(b.elements, start=1):
+        assert el.index == j
+        assert np.shares_memory(el.matrix, b.stack)
+        assert np.array_equal(el.matrix, b.stack[j - 1])
+
+
+def test_checking_a_basis_copies_no_elements():
+    # the 1 MiB stack of the n = 4 basis is checked in place: neither the
+    # element-wise pass nor the rank check may restack it
+    basis = build_srbb(4)
+    tracemalloc.start()
+    try:
+        report = check_basis_properties(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak < 0.25 * 2**20
 
 
 # ---------------------------------------------------------------------------

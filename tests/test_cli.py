@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def test_compile_json_is_the_circuit_dict_without_indent(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "compile", "-n", "3", "--json", str(doc))
     assert code == 0
     assert doc.read_text() == json.dumps(to_json_dict(synthesize_circuit(3)))
+
+
+def test_compile_writes_both_outputs_or_neither(tmp_path, capsys):
+    # the QASM path is fine, the JSON path is not: no QASM file may be left
+    qasm = tmp_path / "layer.qasm"
+    code, out, err = run_cli(capsys, "compile", "-n", "2", "--qasm", str(qasm),
+                             "--json", str(tmp_path / "missing" / "layer.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2]")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +438,41 @@ def test_synthesize_adam_smoke(capsys):
     assert "fidelity=" in out
 
 
-def test_synthesize_accepts_nelder_mead_alias(tmp_path, capsys):
+def test_synthesize_refuses_the_nelder_mead_name(tmp_path, capsys):
+    # argparse rejects a choice outside OPTIMIZERS with its usage exit code
     out_path = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "synthesize", "cnot", "-n", "2",
-                         "--optimizer", "nelder_mead", "--seed", "5", *FAST,
-                         "--out", str(out_path))
-    assert code == 0
-    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    assert manifest["cfg"]["optimizer"] == "nm"
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "cnot", "-n", "2", "--optimizer", "nelder_mead",
+              "--seed", "5", *FAST, "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nelder_mead'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_synthesize_checks_its_outputs_before_training(tmp_path, capsys):
+    # a report path in a missing directory fails before a 30000-iteration
+    # budget is spent, and leaves nothing behind
+    out_path = tmp_path / "missing" / "r.json"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "synthesize", "qft3", "-n", "3",
+                             "--max-iter", "30000", "--restarts", "0",
+                             "--out", str(out_path))
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2]")
+    assert elapsed < 1.0
+
+
+def test_synthesize_leaves_no_report_when_training_fails(tmp_path, capsys):
+    # Nelder-Mead at n = 6 is refused inside train, after the outputs were
+    # opened: neither the report nor the manifest may stay behind empty
+    out_path = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "synthesize", "qft6", "-n", "6",
+                           "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: Nelder-Mead is limited to n <= 5")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

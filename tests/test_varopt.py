@@ -288,8 +288,11 @@ def test_train_config_validation():
     TrainConfig(tol=0.0, max_iter=1, restarts=0)
 
 
-def test_train_config_maps_the_nelder_mead_alias():
-    assert TrainConfig(optimizer="nelder_mead").optimizer == "nm"
+def test_train_config_refuses_the_nelder_mead_name():
+    # each optimizer has one name: "nm" for Nelder-Mead
+    with pytest.raises(ValueError, match="unknown optimizer 'nelder_mead'"):
+        TrainConfig(optimizer="nelder_mead")
+    assert TrainConfig(optimizer="nm").optimizer == "nm"
     assert TrainConfig(optimizer="adam").optimizer == "adam"
 
 
