@@ -27,8 +27,11 @@ run of RY on one qubit with CNOTs into that qubit is one RY per pattern of
 the controls followed by a controlled X.  Each RY run is one vectorised step
 on the state (or the column stack of a unitary under construction) that
 takes row r to A[r] cols[a[r]] + B[r] cols[b[r]], and each CNOT/RZ run folds
-into the step beside it.  A missing or non-finite angle, or an angle vector
-of the wrong shape, is a ValueError before any work is done.
+into the step beside it.  value_and_gradient differentiates a loss of the
+unitary through the same steps: one sweep forward, then one backward that
+un-applies each step and collects the derivative in its angles.  A missing
+or non-finite angle, or an angle vector of the wrong shape, is a ValueError
+before any work is done.
 """
 from __future__ import annotations
 
@@ -246,20 +249,30 @@ class _Plan:
             reads[3] = phase
             steps[-1] = ab, sign, reads
         self.sources, self.sign, reads = map(np.array, zip(*steps))
+        # every source row is a permutation; back holds the inverses
+        self.back = np.argsort(self.sources, axis=-1)
         # run takes cos and sin of each half-angle the steps read once
         self.reads, at = np.unique(reads, return_inverse=True)
         self.at = at.reshape(reads.shape)
 
-    def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """cols, a (2^n, m) stack of columns, after the circuit with angle
-        vector x, as a new array."""
+    def _bind(self, x: np.ndarray):
+        """The steps' coefficients A and B for angle vector x, as one
+        (steps, 2, 2^n) array, with cos, sin and exp(-i .) of the
+        half-angles they read."""
         w = np.bincount(self.slots, weights=x[self.idx], minlength=self.runs * len(self.walsh))
         half = np.append(0.5 * (w.reshape(self.runs, len(self.walsh)) @ self.walsh), 0.0)
         cos, sin = np.cos(half[self.reads]), np.sin(half[self.reads])
         phase = cos - 1j * sin  # exp(-i half)
+        return self._coefficients(cos, sin, phase), cos, sin, phase
+
+    def _coefficients(self, cos, sin, phase):
+        # A = cos * phase at a * phase out, B = sign * sin * phase at b *
+        # phase out, with cos and sin of each step's rotation half-angle
         at = self.at
-        coef = (np.stack((cos[at[:, 0]], self.sign * sin[at[:, 0]]), axis=1)
+        return (np.stack((cos[at[:, 0]], self.sign * sin[at[:, 0]]), axis=1)
                 * phase[at[:, 1:3]] * phase[at[:, 3:]])
+
+    def _sweep(self, coef: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # the steps gather into one buffer and write into two in turn, all
         # made once per call: temporaries made afresh at each step page-fault
         # whenever the allocator hands them back to the system, which turns on
@@ -272,6 +285,59 @@ class _Plan:
             np.multiply(c, gathered, out=gathered)
             cols = np.add(gathered[0], gathered[1], out=out[k % 2])
         return cols
+
+    def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """cols, a (2^n, m) stack of columns, after the circuit with angle
+        vector x, as a new array."""
+        return self._sweep(self._bind(x)[0], cols)
+
+    def value_and_gradient(self, x: np.ndarray, cols: np.ndarray, loss):
+        """loss(out) of the columns after the circuit, and its gradient in x.
+
+        loss returns the value and a function that makes the adjoint
+        dL/dRe(out) + i dL/dIm(out).  The forward sweep keeps no state per
+        step: every step is unitary on row pairs, so the backward sweep
+        un-applies it to the columns and to the adjoint alike.  Undoing
+        out[r] = A[r] cols[a[r]] + B[r] cols[b[r]] is itself a step, with
+        sources the inverse permutations of a and b and coefficients
+        conj(A), conj(B) at those rows.  Then dL = Re sum_r (Q_A[r] dA[r] +
+        Q_B[r] dB[r]), where Q_A[r] = <adjoint[r], cols[a[r]]> over the
+        columns and Q_B likewise, gives the half-angle adjoints, which map
+        back to x through 1/2 W H and the bincount of the bind.
+        """
+        coef, cos, sin, phase = self._bind(x)
+        out = self._sweep(coef, cols)
+        value, adjoint = loss(out)
+        m = out.shape[1]
+        # the columns and the adjoint side by side, un-applied together
+        both = np.concatenate((out, adjoint()), axis=1)
+        gathered = np.empty((2,) + both.shape, dtype=complex)
+        product = np.empty_like(gathered)
+        undo = np.take_along_axis(coef.conj(), self.back, axis=-1)[..., None]
+        # inner[k, i, j] = <cols[j], adjoint[back[k, i, j]]> before step k,
+        # the conjugate of Q at row back[k, i, j]
+        inner = np.empty(coef.shape + (1, 1), dtype=complex)
+        conj = np.empty_like(out)
+        for k in range(len(coef) - 1, -1, -1):
+            both.take(self.back[k], axis=0, out=gathered, mode="clip")
+            np.multiply(undo[k], gathered, out=product)
+            np.add(product[0], product[1], out=both)
+            np.conjugate(both[:, :m], out=conj)
+            np.matmul(gathered[:, :, None, m:], conj[:, :, None], out=inner[k])
+        q = np.take_along_axis(inner[..., 0, 0], self.sources, axis=-1).conj()
+        # the derivative of A and B in the rotation's half-angle; in a phase
+        # half-angle it is -i A or -i B
+        turned = self._coefficients(-sin, cos, phase)
+        qc = q * coef
+        grads = np.empty(self.at.shape)
+        grads[:, 0] = (q * turned).real.sum(axis=1)
+        grads[:, 1:3] = qc.imag
+        grads[:, 3] = grads[:, 1] + grads[:, 2]
+        half = np.bincount(self.at.ravel(), grads.ravel(), minlength=len(self.reads))
+        d = self.walsh.shape[1]
+        half = np.bincount(self.reads, half, minlength=self.runs * d + 1)
+        w = 0.5 * (half[:-1].reshape(self.runs, d) @ self.walsh.T)
+        return value, np.bincount(self.idx, w.ravel()[self.slots], minlength=len(x))
 
 
 def _plan(circuit: Circuit) -> _Plan:
@@ -290,6 +356,16 @@ def unitary_of(circuit: Circuit, params=None) -> np.ndarray:
     angles in free_parameters order."""
     x = _angle_vector(circuit, params)
     return _plan(circuit).run(x, np.eye(2**circuit.n, dtype=complex))
+
+
+def value_and_gradient(circuit: Circuit, params, loss) -> tuple[float, np.ndarray]:
+    """loss of the circuit's unitary U, and its gradient over the angles in
+    free_parameters order, from one forward and one backward sweep (the
+    adjoint method, Jones & Gacon, arXiv:2009.02823).  loss(U) returns
+    (value, adjoint), adjoint() making dL/dRe(U) + i dL/dIm(U); params as
+    for unitary_of."""
+    x = _angle_vector(circuit, params)
+    return _plan(circuit).value_and_gradient(x, np.eye(2**circuit.n, dtype=complex), loss)
 
 
 def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:

@@ -1,7 +1,15 @@
 """Losses, phase recovery and optimizers for fitting basis circuits to targets.
 
-Metric conventions used throughout (the pure-state forms that
-``_make_objective`` and the holdout metrics in ``train`` evaluate):
+Each loss is written once, in ``_loss``, as its value on the circuit's
+unitary and its adjoint there.  Nelder-Mead asks for the value alone, one
+forward simulation an evaluation.  Adam asks for both, and
+``circuit.value_and_gradient`` turns the adjoint into the exact gradient
+over every angle with one backward sweep through the simulation plan.
+``fd_gradient`` is the finite-difference oracle the tests hold that
+gradient to.
+
+Metric conventions used throughout (the pure-state forms that ``_loss``
+and the holdout metrics in ``train`` evaluate):
 
 * the ``"trace"`` loss is the trace distance as the full trace norm
   tr sqrt((rho-sigma)^dag (rho-sigma)) with no 1/2 prefactor, so pure
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, unitary_of
+from .circuit import Circuit, unitary_of, value_and_gradient
 from .compiler import gate_counts, synthesize_circuit
 
 LOSSES = ("frobenius", "trace", "fidelity")
@@ -98,7 +106,11 @@ def random_states(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def fd_gradient(objective, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient, one coordinate at a time."""
+    """Central finite-difference gradient, one coordinate at a time.
+
+    Nothing in the package calls it: it is the oracle the tests check the
+    exact gradient against.  It stays here because perfbench's tracer looks
+    it up by name in this module."""
     step = 1e-6
     x = np.asarray(x, dtype=float)
     g = np.empty_like(x)
@@ -185,26 +197,26 @@ def nelder_mead(objective, x0, max_iter: int = 10000, tol: float = 1e-12,
 
 def adam(objectives, x0, steps: int = 100, lr: float = 0.01,
          callback=None) -> tuple[np.ndarray, float]:
-    """Adam with central finite-difference gradients.
+    """Adam on exact gradients.
 
-    ``objectives`` is a sequence of callables f(x) (mini-batches); step t
-    takes the next one, cycling.  A NaN loss or gradient aborts.
-    Returns the best (x, f) seen over the recorded step losses."""
+    ``objectives`` is a sequence of callables f(x) -> (loss, gradient)
+    (mini-batches); step t takes the next one, cycling.  A NaN loss or
+    gradient aborts.  Returns the best (x, f) seen over the recorded step
+    losses."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     x = np.asarray(x0, dtype=float).copy()
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     best_x, best_f = x.copy(), math.inf
     for t in range(1, steps + 1):
-        fstep = objectives[(t - 1) % len(objectives)]
-        fx = float(fstep(x))
+        fx, g = objectives[(t - 1) % len(objectives)](x)
+        fx = float(fx)
         if math.isnan(fx):
             raise RuntimeError(f"loss became NaN at step {t}")
         if fx < best_f:
             best_x, best_f = x.copy(), fx
         if callback is not None:
             callback(fx)
-        g = fd_gradient(fstep, x)
         if np.isnan(g).any():
             raise RuntimeError(f"gradient became NaN at step {t}")
         m = beta1 * m + (1.0 - beta1) * g
@@ -292,39 +304,74 @@ def matrix_to_json(u: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in u]
 
 
-def _evolved_overlaps(u_circ: np.ndarray, states: np.ndarray,
-                      evolved: np.ndarray) -> np.ndarray:
-    """|<psi U_circ^dag U_ideal psi>|^2 per state row, in index order;
-    evolved holds the rows U_ideal psi (states @ u_ideal.T)."""
-    a = states @ u_circ.T
-    return np.abs(np.einsum("ij,ij->i", a.conj(), evolved)) ** 2
+def _overlaps(u_circ: np.ndarray, states: np.ndarray,
+              evolved: np.ndarray) -> np.ndarray:
+    """<psi U_circ^dag U_ideal psi> per state row, in index order; evolved
+    holds the rows U_ideal psi (states @ u_ideal.T)."""
+    return np.einsum("ij,ij->i", (states @ u_circ.T).conj(), evolved)
+
+
+def _loss(loss: str, target_su: np.ndarray, states: np.ndarray | None):
+    """The loss of a circuit unitary U, as U -> (value, adjoint).
+
+    adjoint() makes dL/dRe(U) + i dL/dIm(U), and only when called, so that
+    an objective that needs the value alone does no more work.  For pure
+    states the printed density formulas collapse to overlap expressions --
+    trace distance 2 sqrt(1-F), fidelity loss 1-F with
+    F = |<psi_circ|psi_ideal>|^2 -- which is what the hot loop evaluates.
+    Both adjoints are 0 at an exact fit, where the Frobenius one is 0/0 and
+    the trace one divides by sqrt(1 - F) = 0.
+    """
+    if loss == "frobenius":
+        def at(u):
+            diff = u - target_su
+            value = float(np.linalg.norm(diff))
+            return value, lambda: diff / value if value > 0.0 else np.zeros_like(diff)
+        return at
+
+    evolved = states @ target_su.T
+
+    def at(u):
+        s = _overlaps(u, states, evolved)
+        ov = np.abs(s) ** 2
+        if loss == "trace":
+            gap = np.clip(1.0 - ov, 0.0, None)
+            value = float(np.mean(2.0 * np.sqrt(gap)))
+        else:
+            value = float(np.mean(1.0 - ov))
+
+        def adjoint():
+            # dL/d ov_i per state, then d ov_i / d(U psi_i)* = conj(s_i) e_i
+            if loss == "trace":
+                slope = -np.divide(1.0, np.sqrt(gap), out=np.zeros_like(gap), where=gap > 0.0)
+            else:
+                slope = np.full(len(ov), -1.0)
+            rows = (2.0 / len(ov)) * (slope * s.conj())[:, None] * evolved
+            return rows.T @ states.conj()
+
+        return value, adjoint
+
+    return at
 
 
 def _make_objective(circuit: Circuit, loss: str, target_su: np.ndarray,
                     states: np.ndarray | None):
     """Loss as a function of the flat parameter vector, which binds the
-    circuit's angles in free_parameters order.
-
-    For pure states the printed density formulas collapse to overlap
-    expressions — trace distance 2 sqrt(1-F), fidelity loss 1-F with
-    F = |<psi_circ|psi_ideal>|^2 — which is what the hot loop evaluates.
-    """
-    if loss == "frobenius":
-        def objective(x):
-            u = unitary_of(circuit, x)
-            return float(np.linalg.norm(u - target_su))
-        return objective
-
-    evolved = states @ target_su.T
+    circuit's angles in free_parameters order; one forward simulation."""
+    at = _loss(loss, target_su, states)
 
     def objective(x):
-        u = unitary_of(circuit, x)
-        ov = _evolved_overlaps(u, states, evolved)
-        if loss == "trace":
-            return float(np.mean(2.0 * np.sqrt(np.clip(1.0 - ov, 0.0, None))))
-        return float(np.mean(1.0 - ov))
+        return at(unitary_of(circuit, x))[0]
 
     return objective
+
+
+def _make_value_and_gradient(circuit: Circuit, loss: str, target_su: np.ndarray,
+                             states: np.ndarray | None):
+    """The loss and its exact gradient as a function of the flat parameter
+    vector, from one forward and one backward sweep."""
+    at = _loss(loss, target_su, states)
+    return lambda x: value_and_gradient(circuit, x, at)
 
 
 def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
@@ -363,7 +410,7 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
         steps_per_epoch = math.ceil(cfg.dataset_size / cfg.batch)
         steps = cfg.epochs * steps_per_epoch
         batches = np.array_split(dataset, steps_per_epoch) if needs_states else [None]
-        per_batch = [_make_objective(circuit, cfg.loss, target_su, b)
+        per_batch = [_make_value_and_gradient(circuit, cfg.loss, target_su, b)
                      for b in batches]
         best_x, best_f = adam(per_batch, x0, steps=steps,
                               lr=cfg.lr, callback=trace.append)
@@ -387,7 +434,7 @@ def train(n: int, target_unitary: np.ndarray, cfg: TrainConfig) -> TrainReport:
     recovered = phase_recovery(u_best, target)
 
     holdout = random_states(2**n, 10, holdout_rng)
-    ov = _evolved_overlaps(u_best, holdout, holdout @ target_su.T)
+    ov = np.abs(_overlaps(u_best, holdout, holdout @ target_su.T)) ** 2
     evo = 2.0 * np.sqrt(np.clip(1.0 - ov, 0.0, None))
     final = {
         "frobenius": float(np.linalg.norm(recovered - target)),

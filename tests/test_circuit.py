@@ -24,8 +24,10 @@ from srbb.circuit import (
     to_json_dict,
     to_qasm,
     unitary_of,
+    value_and_gradient,
 )
 from srbb.compiler import naive_circuit, synthesize_circuit
+from srbb.varopt import fd_gradient
 
 
 def _basis_state(n, index):
@@ -273,6 +275,52 @@ def test_angles_that_share_a_slot_enter_only_through_their_sum(n):
     assert np.abs(unitary_of(circ, moved) - unitary_of(circ, x)).max() < 1e-13
     named = dict(zip(circ.free_parameters, moved))
     assert np.abs(gate_kernel.unitary(circ, named) - unitary_of(circ, x)).max() < 1e-13
+
+
+def _gradient_error(circ, x, rng):
+    """Largest gap between the adjoint gradient and finite differences of
+    L(U) = Re <C, U> for a random C, whose adjoint is C itself."""
+    d = 2**circ.n
+    c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    def loss(u):
+        return float(np.vdot(c, u).real), lambda: c
+
+    value, grad = value_and_gradient(circ, x, loss)
+    assert value == loss(unitary_of(circ, x))[0]
+    return np.abs(grad - fd_gradient(lambda y: loss(unitary_of(circ, y))[0], x)).max(initial=0.0)
+
+
+def test_gradient_matches_finite_differences_on_random_circuits():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        circ, vals = _random_circuit(rng, int(rng.integers(1, 5)))
+        assert _gradient_error(circ, np.array(list(vals.values())), rng) < 1e-6
+
+
+@pytest.mark.parametrize("circ, steps", [
+    (Circuit(2, ()), 1),
+    (Circuit(3, [rz(0, "a"), cnot(0, 2), rz(2, "b"), cnot(1, 0), rz(0, "a")]), 1),
+    (Circuit(2, [ry(1, "a"), cnot(0, 1), rz(1, "b"), cnot(1, 0), rz(0, "c")]), 1),
+    (Circuit(3, [rz(1, "c"), cnot(1, 2), ry(2, "a"), cnot(0, 2), ry(0, "b"), cnot(2, 1),
+                 rz(1, "c"), cnot(1, 0)]), 2),
+], ids=["empty", "no-ry", "trailing-phase-run", "leading-and-trailing-runs"])
+def test_gradient_matches_finite_differences_on_every_step_shape(circ, steps):
+    # no RY is the one step with B = 0; a closing CNOT/RZ run folds into the
+    # step before it, a leading one into the step after it
+    assert len(_plan(circ).sources) == steps
+    rng = np.random.default_rng(steps)
+    x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
+    assert _gradient_error(circ, x, rng) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gate_lists(), st.integers(0, 2**32 - 1))
+def test_gradient_matches_finite_differences_on_shared_names(circ, seed):
+    # names repeat across gates and kinds, so components sum over gates
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-np.pi, np.pi, len(circ.free_parameters))
+    assert _gradient_error(circ, x, rng) < 1e-6
 
 
 def test_a_wide_shallow_plan_grows_with_the_circuit():

@@ -438,6 +438,19 @@ def test_synthesize_adam_smoke(capsys):
     assert "fidelity=" in out
 
 
+def test_synthesize_adam_at_six_qubits(tmp_path, capsys):
+    # the paper's largest layer: 8033 angles, one exact gradient a step;
+    # the default dataset of 1000 states in batches of 64 gives 16 steps
+    out_path = tmp_path / "qft6.json"
+    code, out, _ = run_cli(capsys, "synthesize", "qft6", "-n", "6", "--optimizer", "adam",
+                           "--epochs", "1", "--out", str(out_path))
+    assert code == 0
+    assert out.startswith("frobenius=")
+    doc = json.loads(out_path.read_text())
+    assert len(doc["trace_of_loss"]) == 16
+    assert len(doc["params"]) == 8033
+
+
 def test_synthesize_refuses_the_nelder_mead_name(tmp_path, capsys):
     # argparse rejects a choice outside OPTIMIZERS with its usage exit code
     out_path = tmp_path / "report.json"

@@ -14,6 +14,7 @@ from srbb.varopt import (
     LOSSES,
     TrainConfig,
     _make_objective,
+    _make_value_and_gradient,
     adam,
     fd_gradient,
     nelder_mead,
@@ -242,34 +243,103 @@ def test_nelder_mead_deterministic():
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
+def _quadratic(c):
+    """||x - c||^2 with its gradient, as adam's objectives return them."""
+    return lambda x: (float(((x - c) ** 2).sum()), 2.0 * (x - c))
+
+
 def test_adam_quadratic():
     c = np.array([0.5, -0.25])
-    x, f = adam([lambda x: float(((x - c) ** 2).sum())], np.zeros(2),
-                steps=2000, lr=0.05)
+    x, f = adam([_quadratic(c)], np.zeros(2), steps=2000, lr=0.05)
     assert np.abs(x - c).max() < 1e-6
 
 
 def test_adam_accepts_per_step_objectives():
     # alternating objectives emulate mini-batches; the optimizer must take
     # one callable per step, cycling, and still track the best seen
-    objs = [lambda x, c=c: float(((x - c) ** 2).sum())
-            for c in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+    objs = [_quadratic(c) for c in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
     x, f = adam(objs, np.zeros(2), steps=800, lr=0.05)
     assert np.abs(x - 0.5).max() < 0.1  # converges near the compromise point
     assert np.isfinite(f)
 
 
 def test_adam_nan_aborts():
-    with pytest.raises(RuntimeError):
-        adam([lambda x: float("nan")], np.zeros(2), steps=5)
+    with pytest.raises(RuntimeError, match="loss became NaN at step 1"):
+        adam([lambda x: (float("nan"), np.zeros(2))], np.zeros(2), steps=5)
+
+
+def test_adam_nan_gradient_aborts():
+    seen = []
+    with pytest.raises(RuntimeError, match="gradient became NaN at step 1"):
+        adam([lambda x: (1.0, np.array([0.0, float("nan")]))], np.zeros(2), steps=5,
+             callback=seen.append)
+    assert seen == [1.0]  # the step's loss is recorded before the abort
 
 
 def test_adam_trace_is_finite():
     seen = []
-    adam([lambda x: float((x**2).sum())], np.array([1.0]), steps=50,
-         callback=seen.append)
+    adam([_quadratic(np.zeros(1))], np.array([1.0]), steps=50, callback=seen.append)
     assert len(seen) == 50
     assert np.isfinite(seen).all()
+
+
+# ---------------------------------------------------------------------------
+# exact gradients, against the finite-difference oracle
+
+
+def _loss_setup(n, seed):
+    rng = np.random.default_rng(seed)
+    circuit = synthesize_circuit(n)
+    target = su_projections(named_target(f"qft{n}", n).unitary)[0]
+    return circuit, target, random_states(2**n, 8, rng), rng
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_gradient_matches_finite_differences(n, loss):
+    circuit, target, states, rng = _loss_setup(n, 40 + n)
+    objective = _make_objective(circuit, loss, target, states)
+    value_and_grad = _make_value_and_gradient(circuit, loss, target, states)
+    for _ in range(2):
+        x = rng.uniform(-np.pi, np.pi, len(circuit.free_parameters))
+        value, grad = value_and_grad(x)
+        assert value == objective(x)
+        assert np.abs(grad - fd_gradient(objective, x)).max() < 1e-6
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_angles_sharing_a_slot_get_equal_gradient_components(loss):
+    # phi/3/12 and phi/2/4 close one Phi block and open the next at n = 3;
+    # the plan binds them to one slot, so only their sum matters.  The
+    # finite differences know no slots: they must see the same.
+    circuit, target, states, rng = _loss_setup(3, 7)
+    names = circuit.free_parameters
+    i, j = names.index("phi/3/12"), names.index("phi/2/4")
+    objective = _make_objective(circuit, loss, target, states)
+    x = rng.uniform(-np.pi, np.pi, len(names))
+    grad = _make_value_and_gradient(circuit, loss, target, states)(x)[1]
+    fd = fd_gradient(objective, x)
+    assert grad[i] == grad[j]
+    assert abs(fd[i] - fd[j]) < 1e-6
+    assert abs(grad[i]) > 1e-3  # not equal merely by both being 0
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_gradient_is_zero_at_an_exact_fit(n, loss):
+    # at U = T the Frobenius adjoint (U - T)/L is 0/0, and the trace one
+    # divides by sqrt(1 - F) = 0 where an overlap is exactly 1, as on basis
+    # states; a NaN there would stop Adam exactly when it has succeeded
+    circuit = synthesize_circuit(n)
+    target = unitary_of(circuit, None)
+    x = np.zeros(len(circuit.free_parameters))
+    d = 2**n
+    haar = random_states(d, 8, np.random.default_rng(n))
+    for states in (np.eye(d, dtype=complex)[:4], haar):
+        value, grad = _make_value_and_gradient(circuit, loss, target, states)(x)
+        assert np.isfinite(grad).all()
+        assert np.abs(grad).max() < 1e-8
+        assert value < 1e-7
 
 
 # ---------------------------------------------------------------------------
