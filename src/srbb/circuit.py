@@ -36,6 +36,7 @@ before any work is done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -249,8 +250,6 @@ class _Plan:
             reads[3] = phase
             steps[-1] = ab, sign, reads
         self.sources, self.sign, reads = map(np.array, zip(*steps))
-        # every source row is a permutation; back holds the inverses
-        self.back = np.argsort(self.sources, axis=-1)
         # run takes cos and sin of each half-angle the steps read once
         self.reads, at = np.unique(reads, return_inverse=True)
         self.at = at.reshape(reads.shape)
@@ -285,6 +284,12 @@ class _Plan:
             np.multiply(c, gathered, out=gathered)
             cols = np.add(gathered[0], gathered[1], out=out[k % 2])
         return cols
+
+    @cached_property
+    def back(self) -> np.ndarray:
+        """The inverse of each step's source rows, which are permutations;
+        made on the first gradient, which alone needs them."""
+        return np.argsort(self.sources, axis=-1)
 
     def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """cols, a (2^n, m) stack of columns, after the circuit with angle
