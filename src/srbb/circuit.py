@@ -250,7 +250,7 @@ class _Plan:
             reads[3] = phase
             steps[-1] = ab, sign, reads
         self.sources, self.sign, reads = map(np.array, zip(*steps))
-        # run takes cos and sin of each half-angle the steps read once
+        # the bind takes cos and sin of each half-angle the steps read once
         self.reads, at = np.unique(reads, return_inverse=True)
         self.at = at.reshape(reads.shape)
 

@@ -316,11 +316,12 @@ def _loss(loss: str, target_su: np.ndarray, states: np.ndarray | None):
 
     adjoint() makes dL/dRe(U) + i dL/dIm(U), and only when called, so that
     an objective that needs the value alone does no more work.  For pure
-    states the printed density formulas collapse to overlap expressions --
+    states the printed density formulas collapse to overlap expressions —
     trace distance 2 sqrt(1-F), fidelity loss 1-F with
-    F = |<psi_circ|psi_ideal>|^2 -- which is what the hot loop evaluates.
-    Both adjoints are 0 at an exact fit, where the Frobenius one is 0/0 and
-    the trace one divides by sqrt(1 - F) = 0.
+    F = |<psi_circ|psi_ideal>|^2 — which is what the hot loop evaluates.
+    The Frobenius adjoint (U - T)/L is 0/0 at an exact fit and the trace
+    one divides by sqrt(1 - F) = 0 on a state fitted exactly: both take 0
+    there, so that training does not turn NaN when it succeeds.
     """
     if loss == "frobenius":
         def at(u):
@@ -345,7 +346,7 @@ def _loss(loss: str, target_su: np.ndarray, states: np.ndarray | None):
             if loss == "trace":
                 slope = -np.divide(1.0, np.sqrt(gap), out=np.zeros_like(gap), where=gap > 0.0)
             else:
-                slope = np.full(len(ov), -1.0)
+                slope = -1.0
             rows = (2.0 / len(ov)) * (slope * s.conj())[:, None] * evolved
             return rows.T @ states.conj()
 
