@@ -133,8 +133,6 @@ def z_string(n: int, ordinal: int) -> np.ndarray:
 def srbb_element(n: int, j: int) -> np.ndarray:
     """Single SRBB element for 2^n dimensions, built on demand."""
     d = 2**n
-    if j == d * d:
-        return np.eye(d, dtype=complex)
     # diagonal positions are (D+1)^2 - 1 for ordinal D = 1..d-1
     root = math.isqrt(j + 1)
     if root * root == j + 1 and 2 <= root <= d:
@@ -281,7 +279,6 @@ def grouping(n: int) -> FactorGrouping:
             b0 = a0 ^ (2 * x)
             if a0 < b0:
                 evens.append((a0 + 1, b0 + 1))
-        evens.sort()
         t_even[x] = tuple(evens)
         psi_b[x] = tuple(
             (h_index(b, a - 1), f_index(b, a - 1), h_index(b - 1, a), f_index(b - 1, a))
@@ -296,7 +293,6 @@ def grouping(n: int) -> FactorGrouping:
                 continue
             b0 = a0 ^ (2 * x) ^ 1
             odds.append((a0 + 1, b0 + 1))
-        odds.sort()
         t_odd[x] = tuple(odds)
         phi[x] = tuple(
             (h_index(b, a - 1), f_index(b, a - 1), h_index(b + 1, a), f_index(b + 1, a))

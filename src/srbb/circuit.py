@@ -106,6 +106,11 @@ class Circuit:
                 names[g.param] = None
         object.__setattr__(self, "free_parameters", tuple(names))
 
+    @cached_property
+    def plan(self) -> _Plan:
+        """The simulation plan, kept where equality, hash and repr don't look."""
+        return _Plan(self)
+
 
 # ---------------------------------------------------------------------------
 # angle binding
@@ -149,18 +154,19 @@ def _parity(v: np.ndarray) -> np.ndarray:
 class _Plan:
     """A circuit as a few fused steps of one shape.
 
-    Two kinds of maximal gate run are fused:
+    Every maximal gate run is a map L linear over GF(2) plus angles, tracked
+    by one rule: qubit q's parity mask starts at bit q, and CNOT(c, t) XORs
+    c's mask into t's.  Two kinds of run are fused:
 
     - a CNOT/RZ run is a phase polynomial (Amy, Maslov & Mosca,
-      arXiv:1303.2042): basis state |x> goes to exp(i phi(x)) |L x> with L
-      linear over GF(2).  Each RZ(theta_k) on a qubit that holds the parity
-      <m_k, x> adds -theta_k/2 * (-1)^<m_k, x> to phi.
+      arXiv:1303.2042): basis state |x> goes to exp(i phi(x)) |L x>.  Each
+      RZ(theta_k) on a qubit that holds the parity <m_k, x> adds
+      -theta_k/2 * (-1)^<m_k, x> to phi.
     - a run of RY on one target t and CNOTs into t is a uniformly controlled
       rotation (Mottonen et al., quant-ph/0407010).  With the controls at
-      pattern x it is X^<f, x> RY(alpha(x)), where f is the XOR of all its
-      controls' bits and alpha(x) = sum_k (-1)^<f_k, x> theta_k, f_k being
-      the XOR of the controls before the k-th RY, since
-      RY(theta) X = X RY(-theta).
+      pattern x it is X^<f, x> RY(alpha(x)), where f = masks[t] ^ bit[t] is
+      the XOR of its controls' bits and alpha(x) = sum_k (-1)^<f_k, x>
+      theta_k, f_k being f at the k-th RY, since RY(theta) X = X RY(-theta).
 
     Either way a run's half-angles are (1/2) W H, where W[s, m] sums the
     angles of run s that carry parity mask m and H[m, x] = (-1)^<m, x> is
@@ -169,8 +175,8 @@ class _Plan:
     so the plan grows with the circuit rather than with 4^n.
 
     Every step takes row r of the column stack to
-    A[r] cols[a[r]] + B[r] cols[b[r]].  For an RY run, a[r] is the row whose
-    rotated amplitude X^<f, x> moves to r, b = a ^ t its partner, and
+    A[r] cols[a[r]] + B[r] cols[b[r]].  For an RY run, a = L r is the row
+    whose rotated amplitude X^<f, x> moves to r, b = a ^ t its partner, and
     A, B = cos, -+sin of the pair's half-angle (minus when a has bit t
     clear).  A CNOT/RZ run, a phase and a gather by L^-1, folds into the RY
     step after it: a and b are gathered through L^-1 and A and B take the
@@ -198,19 +204,14 @@ class _Plan:
             else:
                 target = None
             if not runs or runs[-1][0] != target:
-                # a CNOT/RZ run tracks every qubit's parity mask; an RY run
-                # tracks only the XOR f of the controls seen so far
-                runs.append((target, bit[:] if target is None else [0]))
+                runs.append((target, bit[:]))
             masks = runs[-1][1]
             if g.kind == "CNOT":
                 c, t = g.qubits
-                if target is None:
-                    masks[t] ^= masks[c]
-                else:
-                    masks[0] ^= bit[c]
+                masks[t] ^= masks[c]
                 continue
             segs.append(len(runs) - 1)
-            rot_masks.append(masks[g.qubits[0]] if target is None else masks[0])
+            rot_masks.append(masks[target] ^ bit[target] if g.kind == "RY" else masks[g.qubits[0]])
             idx.append(index[g.param])
         # the bincount slot of each rotation's angle: its run and its mask
         # among the masks in use
@@ -227,21 +228,19 @@ class _Plan:
         steps = []
         lead = None  # a CNOT/RZ run not folded yet: L^-1, and its phase at each row
         for s, (target, masks) in enumerate(runs):
+            y = bit @ _parity(np.array(masks)[:, None] & xs)  # y[x] = L x
             if target is None:
-                y = bit @ _parity(np.array(masks)[:, None] & xs)  # y[x] = L x
                 inv = np.empty(d, dtype=np.intp)
                 inv[y] = xs
                 lead = inv, s * d + inv
                 continue
             t = bit[target]
-            # X^<f, r> moves the rotated row a to row r; f holds no bit t
-            a = xs ^ (t * _parity(masks[0] & xs))
-            ab, reads = np.stack((a, a ^ t)), np.full((4, d), zero)
+            ab, reads = np.stack((y, y ^ t)), np.full((4, d), zero)
             reads[0] = s * d + (xs & ~t)
             if lead is not None:
                 inv, phase = lead
                 ab, reads[1:3], lead = inv[ab], phase[ab], None
-            steps.append((ab, np.where(a & t, 1.0, -1.0), reads))
+            steps.append((ab, np.where(y & t, 1.0, -1.0), reads))
         if not steps:
             steps.append((np.stack((xs, xs)), np.ones(d), np.full((4, d), zero)))
         if lead is not None:
@@ -345,22 +344,13 @@ class _Plan:
         return value, np.bincount(self.idx, w.ravel()[self.slots], minlength=len(x))
 
 
-def _plan(circuit: Circuit) -> _Plan:
-    """The circuit's plan, built on its first simulation and kept on it."""
-    plan = circuit.__dict__.get("_plan")
-    if plan is None:
-        plan = _Plan(circuit)
-        object.__setattr__(circuit, "_plan", plan)
-    return plan
-
-
 def unitary_of(circuit: Circuit, params=None) -> np.ndarray:
     """Dense unitary of the circuit: product of gate matrices in application
     order (the first gate acts first, i.e. sits rightmost in the product).
     params is a name -> angle mapping, None (every angle 0.0) or a vector of
     angles in free_parameters order."""
     x = _angle_vector(circuit, params)
-    return _plan(circuit).run(x, np.eye(2**circuit.n, dtype=complex))
+    return circuit.plan.run(x, np.eye(2**circuit.n, dtype=complex))
 
 
 def value_and_gradient(circuit: Circuit, params, loss) -> tuple[float, np.ndarray]:
@@ -370,7 +360,7 @@ def value_and_gradient(circuit: Circuit, params, loss) -> tuple[float, np.ndarra
     (value, adjoint), adjoint() making dL/dRe(U) + i dL/dIm(U); params as
     for unitary_of."""
     x = _angle_vector(circuit, params)
-    return _plan(circuit).value_and_gradient(x, np.eye(2**circuit.n, dtype=complex), loss)
+    return circuit.plan.value_and_gradient(x, np.eye(2**circuit.n, dtype=complex), loss)
 
 
 def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:
@@ -381,7 +371,7 @@ def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:
     if state.shape != (d,):
         raise ValueError(f"state must have length {d}")
     x = _angle_vector(circuit, params)
-    return _plan(circuit).run(x, state.reshape(d, 1)).reshape(d)
+    return circuit.plan.run(x, state.reshape(d, 1)).reshape(d)
 
 
 def sample(circuit: Circuit, params, state: np.ndarray, shots: int,
@@ -399,12 +389,10 @@ def sample(circuit: Circuit, params, state: np.ndarray, shots: int,
 # peephole pass: the CNOT-reduced layer is its fixpoint on the unreduced chain
 
 
-def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
+def cancel_cnot_pairs(gates) -> list[Gate]:
     """Remove pairs of identical CNOTs with no intervening gate on either
-    wire, cascading until none is left.  Returns (kept gates, number of
-    gates removed)."""
+    wire, cascading until none is left.  Returns the kept gates only."""
     out: list[Gate] = []
-    removed = 0
     for g in gates:
         if g.kind == "CNOT":
             wires = set(g.qubits)
@@ -413,7 +401,6 @@ def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
                 if wires & set(prev.qubits):
                     if prev.kind == "CNOT" and prev.qubits == g.qubits:
                         del out[i]
-                        removed += 2
                     else:
                         out.append(g)
                     break
@@ -421,7 +408,7 @@ def cancel_cnot_pairs(gates) -> tuple[list[Gate], int]:
                 out.append(g)
         else:
             out.append(g)
-    return out, removed
+    return out
 
 
 # ---------------------------------------------------------------------------

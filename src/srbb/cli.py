@@ -13,7 +13,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -22,21 +22,6 @@ from .circuit import Circuit, to_json_dict, to_qasm, unitary_of
 from .compiler import gate_counts, count_from_circuit, naive_circuit, synthesize_circuit
 from .targets import named_target, random_su, target_names
 from .varopt import LOSSES, OPTIMIZERS, TrainConfig, _check_unitary, matrix_to_json, train
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to regenerate a command's outputs, and the numpy and
-    Python versions it ran on, so a replay can tell it runs on another stack."""
-
-    command: str
-    n: int
-    target: str | None
-    cfg: dict
-    seed: int | None
-    outputs: tuple[str, ...]
-    numpy: str = np.__version__
-    python: str = ".".join(map(str, sys.version_info[:3]))
 
 
 def _matrix_from_json(doc) -> np.ndarray:
@@ -73,6 +58,8 @@ def _open_outputs(paths):
 
 
 def cmd_compile(args) -> int:
+    if args.qasm and args.json and os.path.realpath(args.qasm) == os.path.realpath(args.json):
+        raise ValueError(f"--qasm and --json name the same file {args.json}")
     circuit = naive_circuit(args.n) if args.naive else synthesize_circuit(args.n)
     tally = count_from_circuit(circuit)
     texts = {}
@@ -177,11 +164,13 @@ def cmd_synthesize(args) -> int:
         if files:
             report_fh, manifest_fh = files
             json.dump(report.to_json_dict(), report_fh, indent=2)
-            manifest = RunManifest(
-                command="synthesize", n=args.n, target=args.target,
-                cfg=asdict(cfg), seed=args.seed, outputs=(args.out,),
-            )
-            json.dump(asdict(manifest), manifest_fh, indent=2)
+            # everything needed to regenerate the report, and the numpy and
+            # Python versions it ran on, so a replay can tell the stack changed
+            manifest = {"command": "synthesize", "n": args.n, "target": args.target,
+                        "cfg": asdict(cfg), "seed": args.seed, "outputs": [args.out],
+                        "numpy": np.__version__,
+                        "python": ".".join(map(str, sys.version_info[:3]))}
+            json.dump(manifest, manifest_fh, indent=2)
     print(" ".join(f"{k}={v:.6e}" for k, v in report.final_loss.items()))
     return 0
 

@@ -219,7 +219,7 @@ def synthesize_circuit(n: int) -> Circuit:
     """The reduced single-layer circuit (gate order Phi, Psi, Z)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    layer, _ = cancel_cnot_pairs(_odd_chain(n) + _even_chain(n) + list(z_factor(n).gates))
+    layer = cancel_cnot_pairs(_odd_chain(n) + _even_chain(n) + list(z_factor(n).gates))
     return Circuit(n, layer)
 
 

@@ -265,6 +265,9 @@ class TrainConfig:
             raise ValueError("sizes must be positive")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, not {self.lr}")
+        for name, value in (("tol", self.tol), ("target_loss", self.target_loss)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, not {value}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, not {self.max_iter}")
         if self.restarts < 0:

@@ -99,6 +99,19 @@ def test_compile_writes_both_outputs_or_neither(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("json_path", ["same.out", "./sub/../same.out"])
+def test_compile_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch, json_path):
+    # the JSON would overwrite the QASM in the same file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(capsys, "compile", "-n", "2", "--qasm", "same.out",
+                             "--json", json_path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --qasm and --json name the same file {json_path}\n"
+    assert not (tmp_path / "same.out").exists()
+
+
 # ---------------------------------------------------------------------------
 # counts
 
@@ -406,10 +419,18 @@ def test_synthesize_rejects_n1(capsys):
     (("--max-iter", "-3", "--restarts", "0"), "max_iter must be >= 1, not -3"),
     (("--optimizer", "adam", "--lr", "nan"), "lr must be finite and > 0, not nan"),
     (("--optimizer", "adam", "--lr", "inf"), "lr must be finite and > 0, not inf"),
-], ids=["restarts", "max-iter", "lr-nan", "lr-inf"])
+    (("--tol", "inf"), "tol must be finite and >= 0, not inf"),
+    (("--tol", "nan"), "tol must be finite and >= 0, not nan"),
+    (("--tol", "-0.5"), "tol must be finite and >= 0, not -0.5"),
+    (("--target-loss", "inf"), "target_loss must be finite and >= 0, not inf"),
+    (("--target-loss", "nan"), "target_loss must be finite and >= 0, not nan"),
+    (("--target-loss", "-1"), "target_loss must be finite and >= 0, not -1.0"),
+], ids=["restarts", "max-iter", "lr-nan", "lr-inf", "tol-inf", "tol-nan", "tol-negative",
+        "target-loss-inf", "target-loss-nan", "target-loss-negative"])
 def test_synthesize_rejects_budgets_that_cannot_train(capsys, flags, problem):
-    # refused before any optimisation: a negative budget would report the
-    # random start, and a non-finite rate would fail inside simulation
+    # refused before any optimisation: a negative budget, or an infinite
+    # tolerance or target loss, would report the random start, and a
+    # non-finite rate would fail inside simulation
     code, out, err = run_cli(capsys, "synthesize", "cnot", "-n", "2", *flags)
     assert code == 2
     assert out == ""

@@ -12,6 +12,7 @@ from srbb.compiler import synthesize_circuit
 from srbb.targets import named_target, random_su
 from srbb.varopt import (
     LOSSES,
+    OPTIMIZERS,
     TrainConfig,
     _make_objective,
     _make_value_and_gradient,
@@ -354,6 +355,10 @@ def test_train_config_validation():
         TrainConfig(batch=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for name in ("tol", "target_loss"):
+        for value in (math.inf, math.nan, -1e-9):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+                TrainConfig(**{name: value})
     # the smallest budgets stay valid: nm-n4 runs with --tol 0 --restarts 0
     TrainConfig(tol=0.0, max_iter=1, restarts=0)
 
@@ -439,7 +444,7 @@ def _report_without_time(report):
     return doc
 
 
-@pytest.mark.parametrize("optimizer", ["nm", "adam"])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
 @pytest.mark.parametrize("loss", LOSSES)
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
