@@ -28,10 +28,10 @@ the controls followed by a controlled X.  Each RY run is one vectorised step
 on the state (or the column stack of a unitary under construction) that
 takes row r to A[r] cols[a[r]] + B[r] cols[b[r]], and each CNOT/RZ run folds
 into the step beside it.  value_and_gradient differentiates a loss of the
-unitary through the same steps: one sweep forward, then one backward that
-un-applies each step and collects the derivative in its angles.  A missing
-or non-finite angle, or an angle vector of the wrong shape, is a ValueError
-before any work is done.
+unitary through the same steps, all run forward: one sweep makes the
+unitary, a second carries the identity beside the adjoint and collects the
+derivative in each step's angles.  A missing or non-finite angle, or an
+angle vector of the wrong shape, is a ValueError before any work is done.
 """
 from __future__ import annotations
 
@@ -284,51 +284,41 @@ class _Plan:
             cols = np.add(gathered[0], gathered[1], out=out[k % 2])
         return cols
 
-    @cached_property
-    def back(self) -> np.ndarray:
-        """The inverse of each step's source rows, which are permutations;
-        made on the first gradient, which alone needs them."""
-        return np.argsort(self.sources, axis=-1)
-
     def run(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """cols, a (2^n, m) stack of columns, after the circuit with angle
         vector x, as a new array."""
         return self._sweep(self._bind(x)[0], cols)
 
-    def value_and_gradient(self, x: np.ndarray, cols: np.ndarray, loss):
-        """loss(out) of the columns after the circuit, and its gradient in x.
+    def value_and_gradient(self, x: np.ndarray, loss):
+        """loss(U) of the circuit's unitary U, and its gradient in x.
 
         loss returns the value and a function that makes the adjoint
-        dL/dRe(out) + i dL/dIm(out).  The forward sweep keeps no state per
-        step: every step is unitary on row pairs, so the backward sweep
-        un-applies it to the columns and to the adjoint alike.  Undoing
-        out[r] = A[r] cols[a[r]] + B[r] cols[b[r]] is itself a step, with
-        sources the inverse permutations of a and b and coefficients
-        conj(A), conj(B) at those rows.  Then dL = Re sum_r (Q_A[r] dA[r] +
-        Q_B[r] dB[r]), where Q_A[r] = <adjoint[r], cols[a[r]]> over the
-        columns and Q_B likewise, gives the half-angle adjoints, which map
-        back to x through 1/2 W H and the bincount of the bind.
+        G = dL/dRe(U) + i dL/dIm(U).  Two forward sweeps, and nothing kept
+        per step: every step is unitary, so the adjoint at the outputs of
+        step k is C_k U^dag G, where C_k is the column stack after step k of
+        a sweep from I.  The second sweep therefore runs [I | U^dag G] and
+        meets, at every step, its inputs C_{k-1} and the adjoint Lambda_k at
+        its outputs.  Then dL = Re sum_r (Q_A[r] dA[r] + Q_B[r] dB[r]), where
+        Q_A[r] = sum_j C_{k-1}[a[r], j] conj(Lambda_k[r, j]) and Q_B likewise,
+        gives the half-angle adjoints, which map back to x through 1/2 W H
+        and the bincount of the bind.
         """
+        d = self.walsh.shape[1]
         coef, cos, sin, phase = self._bind(x)
-        out = self._sweep(coef, cols)
-        value, adjoint = loss(out)
-        m = out.shape[1]
-        # the columns and the adjoint side by side, un-applied together
-        both = np.concatenate((out, adjoint()), axis=1)
+        u = self._sweep(coef, np.eye(d, dtype=complex))
+        value, adjoint = loss(u)
+        both = np.concatenate((np.eye(d, dtype=complex), u.conj().T @ adjoint()), axis=1)
         gathered = np.empty((2,) + both.shape, dtype=complex)
         product = np.empty_like(gathered)
-        undo = np.take_along_axis(coef.conj(), self.back, axis=-1)[..., None]
-        # inner[k, i, j] = <cols[j], adjoint[back[k, i, j]]> before step k,
-        # the conjugate of Q at row back[k, i, j]
-        inner = np.empty(coef.shape + (1, 1), dtype=complex)
-        conj = np.empty_like(out)
-        for k in range(len(coef) - 1, -1, -1):
-            both.take(self.back[k], axis=0, out=gathered, mode="clip")
-            np.multiply(undo[k], gathered, out=product)
+        conj = np.empty_like(u)
+        q = np.empty(coef.shape + (1, 1), dtype=complex)
+        for k, (ab, c) in enumerate(zip(self.sources, coef[..., None])):
+            both.take(ab, axis=0, out=gathered, mode="clip")
+            np.multiply(c, gathered, out=product)
             np.add(product[0], product[1], out=both)
-            np.conjugate(both[:, :m], out=conj)
-            np.matmul(gathered[:, :, None, m:], conj[:, :, None], out=inner[k])
-        q = np.take_along_axis(inner[..., 0, 0], self.sources, axis=-1).conj()
+            np.conjugate(both[:, d:], out=conj)
+            np.matmul(gathered[:, :, None, :d], conj[:, :, None], out=q[k])
+        q = q[..., 0, 0]
         # the derivative of A and B in the rotation's half-angle; in a phase
         # half-angle it is -i A or -i B
         turned = self._coefficients(-sin, cos, phase)
@@ -338,7 +328,6 @@ class _Plan:
         grads[:, 1:3] = qc.imag
         grads[:, 3] = grads[:, 1] + grads[:, 2]
         half = np.bincount(self.at.ravel(), grads.ravel(), minlength=len(self.reads))
-        d = self.walsh.shape[1]
         half = np.bincount(self.reads, half, minlength=self.runs * d + 1)
         w = 0.5 * (half[:-1].reshape(self.runs, d) @ self.walsh.T)
         return value, np.bincount(self.idx, w.ravel()[self.slots], minlength=len(x))
@@ -355,12 +344,11 @@ def unitary_of(circuit: Circuit, params=None) -> np.ndarray:
 
 def value_and_gradient(circuit: Circuit, params, loss) -> tuple[float, np.ndarray]:
     """loss of the circuit's unitary U, and its gradient over the angles in
-    free_parameters order, from one forward and one backward sweep (the
-    adjoint method, Jones & Gacon, arXiv:2009.02823).  loss(U) returns
+    free_parameters order, from two forward sweeps (the adjoint method,
+    Jones & Gacon, arXiv:2009.02823).  loss(U) returns
     (value, adjoint), adjoint() making dL/dRe(U) + i dL/dIm(U); params as
     for unitary_of."""
-    x = _angle_vector(circuit, params)
-    return circuit.plan.value_and_gradient(x, np.eye(2**circuit.n, dtype=complex), loss)
+    return circuit.plan.value_and_gradient(_angle_vector(circuit, params), loss)
 
 
 def apply(circuit: Circuit, params, state: np.ndarray) -> np.ndarray:

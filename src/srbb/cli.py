@@ -30,12 +30,28 @@ def _matrix_from_json(doc) -> np.ndarray:
         raise ValueError("matrix JSON must be a list of rows")
     if len({len(row) for row in doc}) > 1:
         raise ValueError("matrix JSON rows differ in length")
-    for row in doc:
-        for z in row:
-            if not (isinstance(z, list) and len(z) == 2
-                    and all(type(v) in (int, float) for v in z)):
-                raise ValueError(f"matrix JSON entry {z!r} is not an [re, im] number pair")
-    return np.array([[complex(re, im) for re, im in row] for row in doc])
+
+    def entry(i, j, z):
+        if not (isinstance(z, list) and len(z) == 2
+                and all(type(v) in (int, float) for v in z)):
+            raise ValueError(f"matrix JSON entry {z!r} is not an [re, im] number pair")
+        try:
+            return complex(*z)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"matrix JSON entry [{i}][{j}] is too large for a float") from None
+
+    return np.array([[entry(i, j, z) for j, z in enumerate(row)] for i, row in enumerate(doc)])
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as SeedSequence takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 @contextlib.contextmanager
@@ -212,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-n", type=int, required=True)
     v.add_argument("--suite", choices=("basis", "equivalence", "counts", "all"),
                    default="all")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("synthesize", help="train the circuit against a target")
@@ -221,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = TrainConfig()
     s.add_argument("--loss", choices=LOSSES, default=defaults.loss)
     s.add_argument("--optimizer", choices=OPTIMIZERS, default=defaults.optimizer)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", metavar="PATH", help="write the training report JSON")
     s.add_argument("--dataset-size", type=int, default=defaults.dataset_size)
     s.add_argument("--batch", type=int, default=defaults.batch)

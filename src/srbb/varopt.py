@@ -4,7 +4,7 @@ Each loss is written once, in ``_loss``, as its value on the circuit's
 unitary and its adjoint there.  Nelder-Mead asks for the value alone, one
 forward simulation an evaluation.  Adam asks for both, and
 ``circuit.value_and_gradient`` turns the adjoint into the exact gradient
-over every angle with one backward sweep through the simulation plan.
+over every angle with a second forward sweep through the simulation plan.
 ``fd_gradient`` is the finite-difference oracle the tests hold that
 gradient to.
 
@@ -373,7 +373,7 @@ def _make_objective(circuit: Circuit, loss: str, target_su: np.ndarray,
 def _make_value_and_gradient(circuit: Circuit, loss: str, target_su: np.ndarray,
                              states: np.ndarray | None):
     """The loss and its exact gradient as a function of the flat parameter
-    vector, from one forward and one backward sweep."""
+    vector, from two forward sweeps (the adjoint method)."""
     at = _loss(loss, target_su, states)
     return lambda x: value_and_gradient(circuit, x, at)
 

@@ -395,6 +395,35 @@ def test_synthesize_rejects_non_finite_file(tmp_path, capsys):
     assert err == "error: matrix has non-finite entries\n"
 
 
+def test_synthesize_rejects_an_integer_beyond_the_float_range(tmp_path, capsys):
+    # complex() of such an integer raises OverflowError, not ValueError
+    path = tmp_path / "big.json"
+    rows = [[[int(i == j), 0] for j in range(4)] for i in range(4)]
+    rows[2][2][0] = 10**400
+    path.write_text(json.dumps(rows))
+    code, _, err = run_cli(capsys, "synthesize", f"file:{path}", "-n", "2")
+    assert code == 2
+    assert err == "error: matrix JSON entry [2][2] is too large for a float\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "-n", "5"),
+    ("synthesize", "cnot", "-n", "2"),
+], ids=["verify", "synthesize"])
+def test_a_negative_seed_exits_2_before_any_work(argv, capsys, monkeypatch):
+    # argparse refuses the seed: the basis suite (2 s at n = 5) and the
+    # training are stubbed out, so any work before the check would raise
+    monkeypatch.setattr(cli, "_verify_basis", None)
+    monkeypatch.setattr(cli, "train", None)
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --seed: expected a non-negative integer, got '-1'\n")
+
+
 def test_synthesize_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "synthesize",
                            f"file:{tmp_path}/none.json", "-n", "2")

@@ -309,6 +309,23 @@ def test_exact_gradient_matches_finite_differences(n, loss):
 
 
 @pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("n", [5, 6])
+def test_exact_gradient_matches_a_directional_difference(n, loss):
+    # the full finite-difference oracle costs 2 dim simulations, about 27 s
+    # at n = 5 and 6; one central difference along a random unit direction
+    # checks g . v in two simulations
+    circuit, target, states, rng = _loss_setup(n, 50 + n)
+    objective = _make_objective(circuit, loss, target, states)
+    x = rng.uniform(-np.pi, np.pi, len(circuit.free_parameters))
+    v = rng.normal(size=x.shape)
+    v /= np.linalg.norm(v)
+    h = 1e-5
+    fd = (objective(x + h * v) - objective(x - h * v)) / (2 * h)
+    grad = _make_value_and_gradient(circuit, loss, target, states)(x)[1]
+    assert abs(grad @ v - fd) < 1e-7 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("loss", LOSSES)
 def test_angles_sharing_a_slot_get_equal_gradient_components(loss):
     # phi/3/12 and phi/2/4 close one Phi block and open the next at n = 3;
     # the plan binds them to one slot, so only their sum matters.  The
